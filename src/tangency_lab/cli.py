@@ -188,10 +188,6 @@ def cmd_spectrum(args, outdir):
             if args.brute:
                 cols.append(fam + "_brute")
         lines.append(",".join(cols))
-        depth = {}
-        for fam in families:
-            for e in per_fam[fam]["entries"]:
-                depth[e["label"]] = max(depth.get(e["label"], 0), 1)
         slots = {}
         for fam in families:
             by_label = {}

@@ -7,8 +7,7 @@ Gaussian inputs the population loss is a finite sum of arccos-kernel terms,
     phi(w, v) = (1/pi) |w||v| (sin t + (pi - t) cos t),   t = angle(w, v),
 
 and k = phi/2 equals E[relu(<w,x>) relu(<v,x>)].  This module evaluates the
-loss, its analytic gradient, and Hessian-vector products by central finite
-differences of the gradient.
+loss, its analytic gradient, and exact Hessian-vector products.
 """
 
 import numpy as np
@@ -97,6 +96,24 @@ def loss(W):
     return 0.5 * (s_ww - 2.0 * s_wt + s_tt)
 
 
+def _checked_angles(W):
+    """Row norms, unit rows and both angle matrices of a valid weight matrix.
+
+    Raises NearParallelRows for distinct antiparallel rows, where the
+    angle gradient is singular.
+    """
+    W = _as_weight_matrix(W)
+    n = _row_norms(W)
+    w_hat = W / n[:, None]
+
+    theta_ww = _angles_student_student(W, n)
+    theta_wt = _angles_student_teacher(W, n)
+    # self angles are 0, so the largest angle comes from a distinct pair
+    if np.pi - max(theta_ww.max(), theta_wt.max()) < ANTIPARALLEL_TOL:
+        raise NearParallelRows("antiparallel row pair within 1e-9 of the singularity")
+    return W, n, w_hat, theta_ww, theta_wt
+
+
 def grad_loss(W):
     """Analytic gradient of the loss with respect to W.
 
@@ -121,18 +138,7 @@ def grad_loss(W):
         The Euclidean gradient; matches central finite differences of `loss`
         to about 1e-6 per component at step 1e-6 (1 + |W|).
     """
-    W = _as_weight_matrix(W)
-    n = _row_norms(W)
-    w_hat = W / n[:, None]
-
-    theta_ww = _angles_student_student(W, n)
-    theta_wt = _angles_student_teacher(W, n)
-    off = ~np.eye(W.shape[0], dtype=bool)
-    if np.any(np.pi - theta_ww[off] < ANTIPARALLEL_TOL) or np.any(
-        np.pi - theta_wt < ANTIPARALLEL_TOL
-    ):
-        raise NearParallelRows("antiparallel row pair within 1e-9 of the singularity")
-
+    W, n, w_hat, theta_ww, theta_wt = _checked_angles(W)
     # a_i = sum_j |w_j| sin t_ij (students), b_i the same against teacher rows.
     a = np.sum(np.sin(theta_ww) * n[None, :], axis=1)
     b = np.sum(np.sin(theta_wt), axis=1)
@@ -140,30 +146,83 @@ def grad_loss(W):
     return grad / (2.0 * np.pi)
 
 
-def hvp(W, V, h=None):
-    """Hessian-vector product by a central difference of the gradient.
+def _inverse_sine(sin):
+    """1 / sin, and 0 where the rows are parallel (sin = 0)."""
+    return np.divide(1.0, sin, out=np.zeros_like(sin), where=sin > 0.0)
+
+
+def hvp(W, V):
+    """Exact Hessian-vector product of the loss at W.
+
+    Differentiating `grad_loss` along V gives row i of 2 pi H[V] as
+
+        (sum_j n'_j sin t_ij) u_i + (a_i - b_i) u'_i + sum_j (pi - t_ij) v_j
+          + sum_j t'_ij (n_j cos t_ij u_i - w_j)
+          - sum_j s'_ij (cos s_ij u_i - e_j),
+
+    with n_i = |w_i|, u_i = w_i / n_i, t_ij and s_ij the student-student
+    and student-teacher angles, a_i and b_i the sine sums of `grad_loss`,
+    and the first-order changes n'_i = u_i . v_i, u'_i = (v_i - n'_i u_i)
+    / n_i, t'_ij = -(u'_i . u_j + u_i . u'_j) / sin t_ij and
+    s'_ij = -u'_ij / sin s_ij. The bracket multiplying each angle change
+    vanishes as its two rows become parallel while the angle change stays
+    bounded, so parallel pairs, every self pair t_ii = 0 among them,
+    contribute no angle terms: the parallel-row limit `grad_loss` takes
+    one order lower. Antiparallel rows raise NearParallelRows.
+
+    The terms that depend on W alone are computed once per call; the
+    directions of a stack are then processed one at a time, so only one
+    direction's temporaries are alive at once.
 
     Parameters
     ----------
     W : (d, d) array_like
         Base point.
-    V : (d, d) array_like
-        Direction, V != 0.
-    h : float, optional
-        Step; defaults to 1e-6 (1 + |W|_F) / |V|_F.
+    V : (d, d) or (m, d, d) array_like
+        One direction or a stack of m directions.
 
     Returns
     -------
-    (d, d) ndarray
-        [grad_loss(W + hV) - grad_loss(W - hV)] / (2h).
+    ndarray of V's shape
+        H[V] for each direction, H the Hessian of `loss` at W.
     """
-    W = _as_weight_matrix(W)
+    W, n, w_hat, theta_ww, theta_wt = _checked_angles(W)
     V = np.asarray(V, dtype=float)
-    if V.shape != W.shape:
-        raise DimensionMismatch("direction shape must match the weight matrix")
-    v_norm = np.linalg.norm(V)
-    if v_norm <= EPS_NORM:
-        raise DegenerateVector("hvp direction must be nonzero")
-    if h is None:
-        h = 1e-6 * (1.0 + np.linalg.norm(W)) / v_norm
-    return (grad_loss(W + h * V) - grad_loss(W - h * V)) / (2.0 * h)
+    if V.ndim not in (2, 3) or V.shape[-2:] != W.shape:
+        raise DimensionMismatch(
+            f"directions must have shape {W.shape} or (m, *{W.shape}), got {V.shape}"
+        )
+    # terms that depend on W alone, in place where possible: at large d the
+    # d x d temporaries, not the flops, set the peak memory
+    np.fill_diagonal(theta_ww, 0.0)
+    sin_ww = np.sin(theta_ww)
+    inv_ww = _inverse_sine(sin_ww)
+    cot_n_ww = np.cos(theta_ww) * inv_ww * n[None, :]
+    pi_ww = np.subtract(np.pi, theta_ww, out=theta_ww)
+    sin_wt = np.sin(theta_wt)
+    a_minus_b = sin_ww @ n - np.sum(sin_wt, axis=1)
+    inv_wt = _inverse_sine(sin_wt)
+    del sin_wt
+    cot_wt = np.cos(theta_wt, out=theta_wt)
+    cot_wt *= inv_wt
+    # (a_i - b_i) u'_i + sum_j s'_ij e_j is du_coef * u', as s'_ij = -u'_ij / sin s_ij
+    du_coef = np.subtract(a_minus_b[:, None], inv_wt, out=inv_wt)
+
+    d = W.shape[0]
+    out = np.empty(V.shape)
+    for Vk, Hk in zip(V.reshape(-1, d, d), out.reshape(-1, d, d)):
+        dn = np.einsum("ij,ij->i", Vk, w_hat)  # n'
+        du = Vk - dn[:, None] * w_hat
+        du /= n[:, None]  # u'
+        mt = du @ w_hat.T
+        mt = mt + mt.T  # -t' sin t
+        coef = sin_ww @ dn - np.einsum("ij,ij->i", mt, cot_n_ww) + np.einsum("ij,ij->i", du, cot_wt)
+        mt *= inv_ww  # -t'
+        np.matmul(mt, W, out=Hk)
+        del mt
+        Hk += pi_ww @ Vk
+        Hk += coef[:, None] * w_hat
+        du *= du_coef
+        Hk += du
+        Hk /= 2.0 * np.pi
+    return out

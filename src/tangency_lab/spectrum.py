@@ -87,21 +87,16 @@ def s_block_spectrum(record):
     """Eigenvalues of the interaction matrix over the standard copies.
 
     Copies are normalized to unit Frobenius norm first; their span is
-    invariant, so the interaction matrix is then symmetric up to finite
-    difference noise and symmetrization is safe.
+    invariant and the Hessian is exact, so the interaction matrix is
+    symmetric up to rounding and symmetrization is safe.
     """
     W = embed(record.chart, record.xi)
-    copies = _s_copies(record)
-    for S in copies:
-        if np.linalg.norm(S) < 1e-10:
-            raise RepresentativeDegenerate("standard-copy representative has tiny norm")
-    copies = [S / np.linalg.norm(S) for S in copies]
-    m = len(copies)
-    alpha = np.empty((m, m))
-    for i in range(m):
-        Hi = hvp(W, copies[i])
-        for j in range(m):
-            alpha[i, j] = float(np.sum(Hi * copies[j]))
+    copies = np.array(_s_copies(record))
+    norms = np.linalg.norm(copies, axis=(1, 2))
+    if np.any(norms < 1e-10):
+        raise RepresentativeDegenerate("standard-copy representative has tiny norm")
+    copies /= norms[:, None, None]
+    alpha = np.tensordot(hvp(W, copies), copies, axes=([1, 2], [1, 2]))
     alpha = 0.5 * (alpha + alpha.T)
     return list(np.linalg.eigvalsh(alpha))
 
@@ -223,12 +218,7 @@ def brute_spectrum(W):
     if d > 12:
         raise TooLarge("dense spectra are limited to d <= 12")
     n = d * d
-    H = np.empty((n, n))
-    E = np.zeros((d, d))
-    for k in range(n):
-        E.flat[k] = 1.0
-        H[:, k] = hvp(W, E).ravel()
-        E.flat[k] = 0.0
+    H = hvp(W, np.eye(n).reshape(n, d, d)).reshape(n, n)
     H = 0.5 * (H + H.T)
     return list(np.linalg.eigvalsh(H))
 

@@ -8,6 +8,7 @@ for the nontrivial components, and a detector for the largest diagonal Young
 subgroup fixing a given matrix.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,8 +76,19 @@ def build_chart(d, group):
     (d-1, 1) this ordering reproduces the familiar five-parameter layout
     (in-block diagonal, in-block off-diagonal, last column, last row,
     corner entry).
+
+    Charts are memoized on (d, blocks): equal arguments return the same
+    chart object, whose basis is read-only, so records and arcs on one
+    chart share a single dense basis.
     """
-    group = group if isinstance(group, YoungPartitionGroup) else YoungPartitionGroup(tuple(group))
+    blocks = group.blocks if isinstance(group, YoungPartitionGroup) else tuple(group)
+    return _build_chart(int(d), tuple(int(a) for a in blocks))
+
+
+# bounded, because one chart at large d holds several dense d x d matrices
+@functools.lru_cache(maxsize=64)
+def _build_chart(d, blocks):
+    group = YoungPartitionGroup(blocks)
     if group.d != d:
         raise InvalidPartition(f"partition {group.blocks} does not sum to d = {d}")
     if d < 4:

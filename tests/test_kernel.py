@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tangency_lab.atlas import chart_hessian
 from tangency_lab.errors import DimensionMismatch, NearParallelRows
 from tangency_lab.kernel import grad_loss, hvp, kernel_phi, loss
+from tangency_lab.symmetry import YoungPartitionGroup, build_chart, project
 
 
 def random_matrix(d, seed, scale=1.0):
@@ -133,9 +135,9 @@ def test_hvp_is_symmetric_bilinear():
     V1, V2 = rng.normal(size=(2, d, d))
     h1 = hvp(W, V1)
     h2 = hvp(W, V2)
-    assert abs(np.sum(h1 * V2) - np.sum(h2 * V1)) <= 1e-6
+    assert abs(np.sum(h1 * V2) - np.sum(h2 * V1)) <= 1e-12
     combo = hvp(W, 2.0 * V1 - 0.5 * V2)
-    assert np.max(np.abs(combo - 2.0 * h1 + 0.5 * h2)) <= 1e-6
+    assert np.max(np.abs(combo - 2.0 * h1 + 0.5 * h2)) <= 1e-12
 
 
 def test_hvp_matches_dense_quadratic_form():
@@ -145,3 +147,46 @@ def test_hvp_matches_dense_quadratic_form():
     h = 1e-5
     fd = (loss(W + h * V) - 2 * loss(W) + loss(W - h * V)) / h**2
     assert np.sum(hvp(W, V) * V) == pytest.approx(fd, rel=5e-4, abs=5e-6)
+
+
+@pytest.mark.parametrize("d,seed", [(5, 41), (7, 42), (11, 43)])
+def test_hvp_matches_central_differences_of_the_gradient(d, seed):
+    # the FD error is O(h^2) at a point with no parallel rows
+    W = np.eye(d) + 0.3 * random_matrix(d, seed)
+    V = random_matrix(d, seed + 100)
+    exact = hvp(W, V)
+    h = 1e-5
+    fd = (grad_loss(W + h * V) - grad_loss(W - h * V)) / (2 * h)
+    assert np.max(np.abs(exact - fd)) <= 1e-7 * np.max(np.abs(exact))
+
+
+def test_stacked_hvp_equals_per_direction_calls():
+    d = 6
+    W = np.eye(d) + 0.3 * random_matrix(d, seed=51)
+    V = np.random.default_rng(52).normal(size=(4, d, d))
+    stacked = hvp(W, V)
+    assert stacked.shape == V.shape
+    for k in range(4):
+        assert np.array_equal(stacked[k], hvp(W, V[k]))
+
+
+def test_hvp_rejects_antiparallel_rows_and_bad_shapes():
+    W = np.eye(4)
+    W[1] = -W[0]
+    with pytest.raises(NearParallelRows):
+        hvp(W, np.ones((4, 4)))
+    with pytest.raises(DimensionMismatch):
+        hvp(np.eye(4), np.ones((5, 5)))
+    with pytest.raises(DimensionMismatch):
+        hvp(np.eye(4), np.ones((2, 2, 4, 4)))
+
+
+@pytest.mark.parametrize("d", [7, 20])
+def test_identity_has_exact_triple_eigenvalue_on_split_chart(d):
+    # at W = I every student row is parallel to its teacher row; the
+    # parallel-row limit must give the analytic (pi - 2)/(4 pi) exactly
+    chart = build_chart(d, YoungPartitionGroup((d - 2, 1, 1)))
+    evals = np.linalg.eigvalsh(chart_hessian(chart, project(chart, np.eye(d))))
+    exact = (np.pi - 2) / (4 * np.pi)
+    assert np.max(np.abs(evals[:3] - exact)) <= 1e-12
+    assert evals[3] > exact + 0.01

@@ -63,9 +63,10 @@ def test_frozen_eigenvalues_at_d7(records):
         "C0I": {"t": [0.9905112661816, 2.253535852428],
                 "s": [0.05842873893349, 0.1875086785683, 1.893362920897],
                 "x": [0.006847352211466], "y": [0.3258672209845]},
-        "C0II": {"t": [1.028911191738, 2.335173190689],
-                 "s": [0.09084499270342, 0.2815675200688, 1.968432009256],
-                 "x": [0.09084471730216], "y": [0.4091546262887]},
+        # C0II is W = I: s_1 = x = (pi - 2)/(4 pi), y = (pi + 2)/(4 pi)
+        "C0II": {"t": [1.028911263220, 2.335173338424],
+                 "s": [(np.pi - 2) / (4 * np.pi), 0.2815678306084, 1.968432169392],
+                 "x": [(np.pi - 2) / (4 * np.pi)], "y": [(np.pi + 2) / (4 * np.pi)]},
         "C1I": {"t": [0.07813581329589, 0.2360489093861, 0.9968904643361,
                       1.901337174179, 2.268785278743],
                 "s": [0.03042883397134, 0.06596876790125, 0.1931210919483,
@@ -94,14 +95,14 @@ def test_all_families_are_local_minima(records):
 
 def test_near_degenerate_pair_for_identity_family(records):
     # the lowest standard and skew eigenvalues coincide analytically at
-    # (pi - 2) / (4 pi); the computed split is finite-difference noise
+    # (pi - 2) / (4 pi); with the exact Hessian only rounding splits them
     rec = records[("C0II", 7)]
     exact = (np.pi - 2) / (4 * np.pi)
-    assert abs(x_eigenvalue(rec) - exact) <= 1e-6
+    assert abs(x_eigenvalue(rec) - exact) <= 1e-12
     rep = full_spectrum(rec)
     s_low = min(ev for ev, _, lab in rep.entries if lab == "s")
-    assert abs(s_low - exact) <= 1e-6
-    assert abs(s_low - x_eigenvalue(rec)) <= 1e-6
+    assert abs(s_low - exact) <= 1e-12
+    assert abs(s_low - x_eigenvalue(rec)) <= 1e-12
 
 
 def test_skew_and_hollow_eigenvalues_are_rayleigh_consistent(records):

@@ -254,3 +254,11 @@ def test_embed_project_roundtrip():
     chart = build_chart(9, YoungPartitionGroup((6, 2, 1)))
     xi = np.random.default_rng(4).normal(size=chart.dim)
     assert np.max(np.abs(project(chart, embed(chart, xi)) - xi)) <= 1e-13
+
+
+def test_build_chart_is_shared_for_equal_arguments():
+    chart = build_chart(9, YoungPartitionGroup((7, 1, 1)))
+    assert build_chart(9, (7, 1, 1)) is chart
+    assert build_chart(9, YoungPartitionGroup((7, 1, 1))) is chart
+    assert build_chart(9, (8, 1)) is not chart
+    assert not chart.basis.flags.writeable
