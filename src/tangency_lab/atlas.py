@@ -10,6 +10,7 @@ from structured perturbations of the identity and accepted only when its
 fingerprints (isotropy, sign type, loss scale) match.
 """
 
+import functools
 import json
 from dataclasses import dataclass
 from importlib import resources
@@ -25,14 +26,14 @@ from .errors import (
     TangencyLabError,
     UnsupportedFamily,
 )
-from .kernel import grad_loss, hvp, loss
+from .kernel import orbit_gradient, orbit_hessian, orbit_loss
 from .symmetry import (
     FixedPointChart,
     YoungPartitionGroup,
     build_chart,
     detect_diagonal_isotropy,
     embed,
-    project,
+    orbit_coordinates,
 )
 
 FAMILIES = ("C0I", "C0II", "C1I", "C1II")
@@ -119,24 +120,9 @@ class CriticalPointRecord:
     type_label: str
 
 
-def _full_matrix(d, xi1, xi2):
-    W = np.full((d, d), xi2)
-    np.fill_diagonal(W, xi1)
-    return W
-
-
-def _split_matrix(d, xi1, xi2, xi3, xi4, xi5):
-    W = np.full((d, d), xi2)
-    np.fill_diagonal(W, xi1)
-    W[:-1, -1] = xi3
-    W[-1, :-1] = xi4
-    W[-1, -1] = xi5
-    return W
-
-
-def _type_from_matrix(W, blocks):
-    big = blocks[0]
-    v = float(np.mean(np.diag(W)[:big]))
+def _type_label(chart, xi):
+    # coordinate 0 is the diagonal orbit of the big block
+    v = float(xi[0]) / chart.layout.sqrt_sizes[0]
     if abs(v) < 0.5:
         raise AmbiguousType(f"big-block diagonal {v:.3f} is not near -1 or +1")
     return "I" if v < 0 else "II"
@@ -144,20 +130,22 @@ def _type_from_matrix(W, blocks):
 
 def classify_type(record):
     """Sign type of a refined record: I for big-block diagonal near -1, II near +1."""
-    W = embed(record.chart, record.xi)
-    return _type_from_matrix(W, record.chart.group.blocks)
+    return _type_label(record.chart, record.xi)
+
+
+def chart_loss(chart, xi):
+    """Loss at the fixed matrix with chart coordinates xi, evaluated on the chart's orbits."""
+    return orbit_loss(chart.layout, xi)
 
 
 def chart_gradient(chart, xi):
     """Gradient of the loss restricted to the chart (orthonormal coordinates)."""
-    return project(chart, grad_loss(embed(chart, xi)))
+    return orbit_gradient(chart.layout, xi)
 
 
 def chart_hessian(chart, xi):
-    """Exact Hessian of the restricted loss: one stacked hvp over the chart basis."""
-    HB = hvp(embed(chart, xi), chart.basis)
-    H = np.tensordot(chart.basis, HB, axes=([1, 2], [1, 2]))
-    return 0.5 * (H + H.T)
+    """Exact Hessian of the restricted loss, from one batched evaluation over the chart basis."""
+    return orbit_hessian(chart.layout, xi)
 
 
 def refine_critical(chart, xi0, tol=1e-11, max_iter=50):
@@ -188,30 +176,30 @@ def refine_critical(chart, xi0, tol=1e-11, max_iter=50):
     if res > tol:
         raise NewtonDiverged(f"residual {res:.3e} above tolerance after {max_iter} iterations")
 
-    W = embed(chart, xi)
-    blocks = chart.group.blocks
-    type_label = _type_from_matrix(W, blocks)
-    p = chart.d - blocks[0]
+    type_label = _type_label(chart, xi)
+    p = chart.d - chart.group.blocks[0]
+    # the gradient of a fixed matrix is fixed, so its Frobenius norm is
+    # the norm of the chart gradient
     return CriticalPointRecord(
         family=f"C{p}{type_label}",
         d=chart.d,
         chart=chart,
         xi=xi,
-        loss_value=loss(W),
-        grad_norm=float(np.linalg.norm(grad_loss(W))),
+        loss_value=chart_loss(chart, xi),
+        grad_norm=float(res),
         type_label=type_label,
     )
 
 
 def _series_seed(family, d):
     tab = series_table()[family]
+    # the series give the entry value on each orbit, in chart order
     if family in ("C0I", "C0II"):
         chart = build_chart(d, YoungPartitionGroup((d,)))
-        W = _full_matrix(d, eval_series(tab["xi1"], d), eval_series(tab["xi2"], d))
     else:
         chart = build_chart(d, YoungPartitionGroup((d - 1, 1)))
-        W = _split_matrix(d, *(eval_series(tab[f"xi{k}"], d) for k in range(1, 6)))
-    return chart, project(chart, W)
+    values = [eval_series(tab[f"xi{k}"], d) for k in range(1, chart.dim + 1)]
+    return chart, orbit_coordinates(chart, values)
 
 
 def _c1ii_probes(d):
@@ -229,9 +217,8 @@ def _c1ii_seed(d):
     # the target formula itself truncates at O(1/d^2); widen the relative
     # gate accordingly so the true point is not rejected at moderate d
     gate = max(0.1 * target, 2.5 / d ** 2)
-    for off, col, row, corner in _c1ii_probes(d):
-        W = _split_matrix(d, 1.0, off, col, row, corner)
-        xi0 = project(chart, W)
+    for values in _c1ii_probes(d):
+        xi0 = orbit_coordinates(chart, (1.0,) + values)
         try:
             rec = refine_critical(chart, xi0)
         except TangencyLabError:
@@ -247,7 +234,7 @@ def _c1ii_seed(d):
             continue
         if d < 20 and not (0.1 * target < rec.loss_value < 5 * target):
             continue
-        return chart, xi0
+        return chart, rec.xi
     raise NoConvergence(f"no identity perturbation recovered C1II at d={d}")
 
 
@@ -260,3 +247,14 @@ def seed_minimum(family, d):
     if family == "C1II":
         return _c1ii_seed(d)
     return _series_seed(family, d)
+
+
+@functools.lru_cache(maxsize=64)
+def refined_minimum(family, d):
+    """The refined critical point of a family at width d, memoized.
+
+    Every caller receives the same record, so its `xi` is read-only.
+    """
+    rec = refine_critical(*seed_minimum(family, d))
+    rec.xi.setflags(write=False)
+    return rec

@@ -16,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .atlas import FAMILIES, MIN_D, predicted_loss, refine_critical, seed_minimum
+from .atlas import FAMILIES, MIN_D, predicted_loss, refined_minimum
 from .errors import TangencyLabError
 from .spectrum import brute_spectrum, expand_report, full_spectrum, predicted_spectrum
 from .symmetry import (
@@ -25,7 +25,7 @@ from .symmetry import (
     detect_diagonal_isotropy,
     embed,
     isotypic_project,
-    project,
+    transfer,
 )
 from .toy import CRITICAL_POINTS, points_to_csv, sample_tangency_set
 from .tracer import (
@@ -121,12 +121,6 @@ def _partition_text(group):
     return "+".join(str(b) for b in group.blocks)
 
 
-def _refine_cached(cache, family, d):
-    if (family, d) not in cache:
-        cache[(family, d)] = refine_critical(*seed_minimum(family, d))
-    return cache[(family, d)]
-
-
 # ---------------------------------------------------------------- spectrum
 
 
@@ -145,11 +139,10 @@ def cmd_spectrum(args, outdir):
         "brute": bool(args.brute),
         "seed": args.seed,
     }
-    cache = {}
     by_d = {}
     for d in ds:
         for fam in families:
-            rec = _refine_cached(cache, fam, d)
+            rec = refined_minimum(fam, d)
             comp = full_spectrum(rec)
             pred = predicted_spectrum(fam, d)
             entries = []
@@ -344,8 +337,8 @@ def cmd_sphere(args, outdir):
         "seed": args.seed,
     }
     chart = build_chart(d, YoungPartitionGroup((d - k,) + (1,) * k))
-    rec = refine_critical(*seed_minimum(family, d))
-    center = project(chart, embed(rec.chart, rec.xi))
+    rec = refined_minimum(family, d)
+    center = transfer(rec.chart, rec.xi, chart)
     special = (d - 1,) if family in ("C1I", "C1II") else ()
     radii = np.geomspace(lo, hi, count)
 
@@ -444,10 +437,9 @@ def cmd_minima(args, outdir):
     config = {"command": "minima", "family": families, "d": ds, "seed": args.seed}
     lines = [_csv_header(config).rstrip("\n")]
     lines.append("family,d,loss,loss_predicted,absdiff,grad_norm,type")
-    cache = {}
     for d in sorted(ds):
         for fam in families:
-            rec = _refine_cached(cache, fam, d)
+            rec = refined_minimum(fam, d)
             pred = predicted_loss(fam, d)
             payload = {
                 "config": config,

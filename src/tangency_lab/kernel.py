@@ -7,7 +7,10 @@ Gaussian inputs the population loss is a finite sum of arccos-kernel terms,
     phi(w, v) = (1/pi) |w||v| (sin t + (pi - t) cos t),   t = angle(w, v),
 
 and k = phi/2 equals E[relu(<w,x>) relu(<v,x>)].  This module evaluates the
-loss, its analytic gradient, and exact Hessian-vector products.
+loss, its analytic gradient, and exact Hessian-vector products on d x d
+matrices, and the same formulas on fixed-point charts from one
+representative row per block (`orbit_loss`, `orbit_gradient`,
+`orbit_hessian`).
 """
 
 import numpy as np
@@ -226,3 +229,106 @@ def hvp(W, V):
         Hk += du
         Hk /= 2.0 * np.pi
     return out
+
+
+# ------------------------------------------------------------------
+# Orbit-reduced evaluation on fixed-point charts.
+#
+# A matrix fixed by a diagonal Young subgroup with q blocks takes O(q^2)
+# distinct values, and so do its row norms, Gram entries and angles. The
+# functions below evaluate the loss, the chart gradient and the exact
+# chart Hessian from chart coordinates on a `symmetry.OrbitLayout`:
+# every row sum runs over the q representative rows with their block
+# sizes as weights, every column sum over the m <= 3q representative
+# coordinates with their weights, so the cost does not grow with d. They
+# are the formulas of `loss`, `grad_loss` and `hvp` term by term, which
+# stay as the d x d oracle.
+
+
+def _g(theta):
+    return np.sin(theta) + (np.pi - theta) * np.cos(theta)
+
+
+def _orbit_terms(layout, xi, check_antiparallel):
+    """Representative submatrix, row norms and both angle arrays at xi.
+
+    Returns WC (m, m), WR (q, m) its representative rows, n (q,), nC (m,)
+    the norms of the m representative rows, and the (q, m) student and
+    teacher angles. Self angles are exactly 0.
+    """
+    xi = np.asarray(xi, dtype=float).ravel()
+    if xi.shape[0] != layout.sqrt_sizes.shape[0]:
+        raise DimensionMismatch(
+            f"expected {layout.sqrt_sizes.shape[0]} coordinates, got {xi.shape[0]}"
+        )
+    if not np.isfinite(xi).all():
+        raise DegenerateVector("chart coordinates are not finite")
+    WC = (xi / layout.sqrt_sizes)[layout.cc_orbit]
+    WR = WC[layout.row_reps]
+    n = np.sqrt((WR * WR) @ layout.weights)
+    if np.any(n <= EPS_NORM):
+        raise DegenerateVector("a student row has norm <= 1e-12")
+    nC = n[layout.block_of]
+    gram = ((WR * layout.weights) @ WC.T)[:, layout.twin]
+    # minimum/maximum in place of np.clip: these arrays are tiny and
+    # every call's fixed cost counts in the continuation loops
+    theta_ww = np.arccos(np.minimum(np.maximum(gram / (n[:, None] * nC), -1.0), 1.0))
+    theta_ww[np.arange(len(n)), layout.row_reps] = 0.0
+    theta_wt = np.arccos(np.minimum(np.maximum(WR / n[:, None], -1.0), 1.0))
+    if check_antiparallel and np.pi - max(theta_ww.max(), theta_wt.max()) < ANTIPARALLEL_TOL:
+        raise NearParallelRows("antiparallel row pair within 1e-9 of the singularity")
+    return WC, WR, n, nC, theta_ww, theta_wt
+
+
+def orbit_loss(layout, xi):
+    """`loss` at the fixed matrix with chart coordinates xi."""
+    _, _, n, nC, theta_ww, theta_wt = _orbit_terms(layout, xi, False)
+    w = layout.weights
+    rows = n * layout.row_weights
+    s_ww = float(rows @ (_g(theta_ww) * nC) @ w) / (2.0 * np.pi)
+    s_wt = float(rows @ _g(theta_wt) @ w) / (2.0 * np.pi)
+    d = layout.d
+    s_tt = d / 2.0 + d * (d - 1) / (2.0 * np.pi)
+    return 0.5 * (s_ww - 2.0 * s_wt + s_tt)
+
+
+def orbit_gradient(layout, xi):
+    """Chart gradient: sqrt(|o|) times `grad_loss` at one entry of each orbit o."""
+    WC, WR, n, nC, theta_ww, theta_wt = _orbit_terms(layout, xi, True)
+    w = layout.weights
+    a_minus_b = (np.sin(theta_ww) * nC) @ w - np.sin(theta_wt) @ w
+    G = a_minus_b[:, None] * (WR / n[:, None]) + ((np.pi - theta_ww) * w) @ WC - (np.pi - theta_wt)
+    return layout.sqrt_sizes * G[layout.out_row, layout.out_col] / (2.0 * np.pi)
+
+
+def orbit_hessian(layout, xi):
+    """Exact chart Hessian: `hvp` along the whole stack of chart basis directions.
+
+    Entry (o, o') is sqrt(|o|) times H[B_o'] at one entry of orbit o, H[B_o']
+    being fixed like B_o'. The result is symmetrized.
+    """
+    WC, WR, n, nC, theta_ww, theta_wt = _orbit_terms(layout, xi, True)
+    w = layout.weights
+    R = layout.row_reps
+    UC = WC / nC[:, None]
+    UR = UC[R]
+    sin_ww = np.sin(theta_ww)
+    inv_ww = _inverse_sine(sin_ww)
+    cot_n_ww = np.cos(theta_ww) * inv_ww * nC
+    sin_wt = np.sin(theta_wt)
+    inv_wt = _inverse_sine(sin_wt)
+    cot_wt = np.cos(theta_wt) * inv_wt
+    du_coef = ((sin_ww * nC) @ w - sin_wt @ w)[:, None] - inv_wt
+
+    V = layout.directions  # (k, m, m)
+    dn = (V[:, R] * UR) @ w  # n' of each block, (k, q)
+    dnC = dn[:, layout.block_of]
+    dUC = (V - dnC[:, :, None] * UC) / nC[:, None]  # u'
+    dUR = dUC[:, R]
+    mt = ((dUR * w) @ UC.T + (UR * w) @ dUC.transpose(0, 2, 1))[:, :, layout.twin]  # -t' sin t
+    coef = ((dnC * w) @ sin_ww.T - np.sum(mt * (cot_n_ww * w), axis=2)
+            + np.sum(dUR * (cot_wt * w), axis=2))
+    HR = ((mt * (inv_ww * w)) @ WC + ((np.pi - theta_ww) * w) @ V
+          + coef[:, :, None] * UR + dUR * du_coef) / (2.0 * np.pi)
+    H = layout.sqrt_sizes[:, None] * HR[:, layout.out_row, layout.out_col].T
+    return 0.5 * (H + H.T)

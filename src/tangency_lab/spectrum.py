@@ -1,12 +1,21 @@
-"""Hessian spectra at symmetric critical points, assembled from small blocks.
+"""Hessian spectra at symmetric critical points, assembled from chart Hessians.
 
 The Hessian of the closed-form loss at a point fixed by a diagonal
-permutation group splits along isotypic components. Each component
-contributes one small block: the chart-restricted Hessian (multiplicity
-one per eigenvalue), an m x m interaction matrix over standard-copy
-representatives (multiplicity d-p-1), and two Rayleigh quotients
-(multiplicities quadratic in d). A dense eigensolve over all d^2
-elementary directions serves as the oracle at small d.
+permutation group splits along isotypic components, and each component
+is read off the exact Hessian restricted to one fixed-point chart:
+
+- t: the Hessian on the record's own chart (multiplicity one each);
+- s: the Hessian on the (d-p-1, 1^(p+1)) chart compressed onto the
+  standard-copy representatives (multiplicity d-p-1 each);
+- x and y: Rayleigh quotients of one Hessian on the (d-p-2, 1^(p+2))
+  chart (multiplicities quadratic in d),
+
+for a record with p fixed coordinates. The record's coordinates on the
+finer charts, the copies and the representatives are read off one entry
+per orbit, and chart Hessians come from the orbit evaluator of `kernel`,
+so no d x d matrix is formed and the cost does not grow with d. A dense
+eigensolve over all d^2 elementary directions serves as the oracle at
+small d.
 """
 
 import csv
@@ -23,7 +32,7 @@ from .errors import (
 )
 from .atlas import chart_hessian
 from .kernel import hvp
-from .symmetry import embed, representative
+from .symmetry import build_chart, orbit_coordinates, representative_entries, transfer
 
 #: family tags in the fixed column order used by the CSV layout
 FAMILY_ORDER = ("C0I", "C0II", "C1I", "C1II")
@@ -46,41 +55,33 @@ def _split_p(record):
     raise UnsupportedFamily(f"spectra support partitions (d,) and (d-1,1), got {blocks}")
 
 
+def _finer_chart(record, extra):
+    """The (d-p-extra, 1^(p+extra)) chart and the record's coordinates on it."""
+    d, p = record.d, _split_p(record)
+    chart = build_chart(d, (d - p - extra,) + (1,) * (p + extra))
+    return chart, transfer(record.chart, record.xi, chart)
+
+
 def t_block_spectrum(record):
     """Eigenvalues of the Hessian restricted to the isotropy chart."""
     _split_p(record)
     return list(np.linalg.eigvalsh(chart_hessian(record.chart, record.xi)))
 
 
-def _s_copies(record):
-    """Standard-copy representatives for the record's isotropy."""
-    d = record.d
-    if _split_p(record) == 0:
-        return [representative("s", c, d) for c in (1, 2, 3)]
-    # five copies for the split isotropy: the three block embeddings of
-    # u = (1,...,1,-(d-2)) plus the two cross vectors
-    u = np.ones(d - 1)
-    u[-1] = -(d - 2)
-    mats = []
-    D = np.zeros((d, d))
-    D[: d - 1, : d - 1] = np.diag(u)
-    mats.append(D)
-    Ssym = u[:, None] + u[None, :]
-    np.fill_diagonal(Ssym, 0.0)
-    M = np.zeros((d, d))
-    M[: d - 1, : d - 1] = Ssym
-    mats.append(M)
-    A = u[:, None] - u[None, :]
-    M = np.zeros((d, d))
-    M[: d - 1, : d - 1] = A
-    mats.append(M)
-    M = np.zeros((d, d))
-    M[: d - 1, -1] = u
-    mats.append(M)
-    M = np.zeros((d, d))
-    M[-1, : d - 1] = u
-    mats.append(M)
-    return mats
+def _s_copies(chart, q):
+    """Chart coordinates of the standard copies of a point permuting q indices.
+
+    The three copies of representative('s', c, q), and for each fixed
+    coordinate f >= q the vector u = (1, ..., 1, -(q-1)) put into column f
+    and into row f.
+    """
+    i, j = chart.rep_rows, chart.rep_cols
+    u = lambda k: representative_entries("s", 1, q, k, k)  # zero past q
+    entries = [representative_entries("s", c, q, i, j) for c in (1, 2, 3)]
+    for f in range(q, chart.d):
+        entries.append(np.where(j == f, u(i), 0.0))
+        entries.append(np.where(i == f, u(j), 0.0))
+    return orbit_coordinates(chart, entries)
 
 
 def s_block_spectrum(record):
@@ -90,40 +91,41 @@ def s_block_spectrum(record):
     invariant and the Hessian is exact, so the interaction matrix is
     symmetric up to rounding and symmetrization is safe.
     """
-    W = embed(record.chart, record.xi)
-    copies = np.array(_s_copies(record))
-    norms = np.linalg.norm(copies, axis=(1, 2))
+    chart, xi = _finer_chart(record, 1)
+    copies = _s_copies(chart, record.d - _split_p(record))
+    norms = np.linalg.norm(copies, axis=1)
     if np.any(norms < 1e-10):
         raise RepresentativeDegenerate("standard-copy representative has tiny norm")
-    copies /= norms[:, None, None]
-    alpha = np.tensordot(hvp(W, copies), copies, axes=([1, 2], [1, 2]))
+    copies /= norms[:, None]
+    alpha = copies @ chart_hessian(chart, xi) @ copies.T
     alpha = 0.5 * (alpha + alpha.T)
     return list(np.linalg.eigvalsh(alpha))
 
 
-def _rayleigh(record, label):
-    d = record.d
-    p = _split_p(record)
-    R = representative(label, 1, d - p)
-    if p:
-        M = np.zeros((d, d))
-        M[: d - 1, : d - 1] = R
-        R = M
-    nrm2 = float(np.sum(R * R))
-    if np.sqrt(nrm2) < 1e-10:
-        raise RepresentativeDegenerate(f"{label}-representative has tiny norm")
-    W = embed(record.chart, record.xi)
-    return float(np.sum(hvp(W, R) * R)) / nrm2
+def _xy_eigenvalues(record):
+    """The x and y eigenvalues: Rayleigh quotients of one chart Hessian."""
+    q = record.d - _split_p(record)
+    chart, xi = _finer_chart(record, 2)
+    H = chart_hessian(chart, xi)
+    out = []
+    for label in ("x", "y"):
+        r = orbit_coordinates(
+            chart, representative_entries(label, 1, q, chart.rep_rows, chart.rep_cols))
+        nrm2 = float(r @ r)
+        if np.sqrt(nrm2) < 1e-10:
+            raise RepresentativeDegenerate(f"{label}-representative has tiny norm")
+        out.append(float(r @ H @ r) / nrm2)
+    return out
 
 
 def x_eigenvalue(record):
     """Single eigenvalue on the skew zero-row-sum component."""
-    return _rayleigh(record, "x")
+    return _xy_eigenvalues(record)[0]
 
 
 def y_eigenvalue(record):
     """Single eigenvalue on the hollow symmetric zero-row-sum component."""
-    return _rayleigh(record, "y")
+    return _xy_eigenvalues(record)[1]
 
 
 def full_spectrum(record):
@@ -136,8 +138,9 @@ def full_spectrum(record):
     for ev in s_block_spectrum(record):
         entries.append((float(ev), d - p - 1, "s"))
     q = d - p
-    entries.append((x_eigenvalue(record), (q - 1) * (q - 2) // 2, "x"))
-    entries.append((y_eigenvalue(record), q * (q - 3) // 2, "y"))
+    x, y = _xy_eigenvalues(record)
+    entries.append((x, (q - 1) * (q - 2) // 2, "x"))
+    entries.append((y, q * (q - 3) // 2, "y"))
     total = sum(mult for _, mult, _ in entries)
     if total != d * d:
         raise MultiplicityMismatch(f"multiplicities sum to {total}, expected {d * d}")

@@ -9,6 +9,7 @@ subgroup fixing a given matrix.
 """
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,13 +50,57 @@ class YoungPartitionGroup:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
+class OrbitLayout:
+    """Representative rows and columns on which `kernel` evaluates a chart.
+
+    Every block keeps up to three representative coordinates: its first,
+    its second, and its third standing for the remaining s - 2, with
+    column weights (1, 1, s - 2). The first coordinate of each block is
+    its representative row, of row weight s. A fixed matrix, a fixed
+    direction and the loss terms between a representative row and any
+    coordinate are then constant on the coordinates a representative
+    stands for, so sums over d rows or columns become weighted sums over
+    the m <= 3q representatives. The exception is a Gram or angle entry
+    against a third representative, whose column sum would meet its own
+    diagonal: it copies the entry against the second representative of
+    its block, to which a swap fixing the row is a symmetry.
+    """
+
+    d: int
+    sqrt_sizes: np.ndarray  # (n,) square roots of the orbit sizes
+    row_weights: np.ndarray  # (q,) block sizes
+    weights: np.ndarray  # (m,) coordinates each representative stands for
+    block_of: np.ndarray  # (m,) block of each representative
+    row_reps: np.ndarray  # (q,) position of each block's first coordinate
+    twin: np.ndarray  # (m,) representative whose Gram entries each one copies
+    cc_orbit: np.ndarray  # (m, m) orbit of each representative entry
+    directions: np.ndarray  # (n, m, m) the chart basis on the representatives
+    out_row: np.ndarray  # (n,) block of each orbit's representative entry
+    out_col: np.ndarray  # (n,) position of that entry's column
+
+
+@dataclass(frozen=True, eq=False)
 class FixedPointChart:
-    """Orthonormal basis of the subspace of matrices fixed by a diagonal
-    Young subgroup; chart coordinates are Frobenius inner products."""
+    """Orthonormal chart of the subspace of matrices fixed by a diagonal
+    Young subgroup; chart coordinates are Frobenius inner products.
+
+    Coordinate o belongs to the orbit `orbits[o]` = (a, b, diagonal) of
+    matrix entries with row in block a and column in block b (for a = b
+    either the diagonal or the off-diagonal entries). Its basis matrix is
+    the orbit indicator over sqrt(|o|), so a fixed matrix whose entries
+    on o equal v has xi_o = sqrt(|o|) v. `rep_rows`/`rep_cols` name one
+    entry of each orbit, and `layout` holds the arrays of the orbit
+    evaluator.
+    """
 
     group: YoungPartitionGroup
-    basis: np.ndarray = field(repr=False)
+    orbits: tuple
+    sizes: np.ndarray = field(repr=False)
+    rep_rows: np.ndarray = field(repr=False)
+    rep_cols: np.ndarray = field(repr=False)
+    orbit_table: np.ndarray = field(repr=False)  # (q, q, 2): orbit of (a, b, i == j)
+    layout: OrbitLayout = field(repr=False)
 
     @property
     def d(self):
@@ -63,7 +108,14 @@ class FixedPointChart:
 
     @property
     def dim(self):
-        return self.basis.shape[0]
+        return len(self.orbits)
+
+    @functools.cached_property
+    def basis(self):
+        """Dense (dim, d, d) basis, built on first use and read-only."""
+        arr = np.array([embed(self, e) for e in np.eye(self.dim)])
+        arr.setflags(write=False)
+        return arr
 
 
 def build_chart(d, group):
@@ -78,14 +130,25 @@ def build_chart(d, group):
     corner entry).
 
     Charts are memoized on (d, blocks): equal arguments return the same
-    chart object, whose basis is read-only, so records and arcs on one
-    chart share a single dense basis.
+    chart object. A chart holds O(q^2) numbers; its dense basis is built
+    only when `basis` is read.
     """
     blocks = group.blocks if isinstance(group, YoungPartitionGroup) else tuple(group)
     return _build_chart(int(d), tuple(int(a) for a in blocks))
 
 
-# bounded, because one chart at large d holds several dense d x d matrices
+def _orbit_index(blocks, table, i, j):
+    """Orbit of each matrix entry (i, j), for integer arrays i and j."""
+    stops = np.cumsum(blocks)
+    a = np.searchsorted(stops, i, side="right")
+    b = np.searchsorted(stops, j, side="right")
+    return table[a, b, (np.asarray(i) == np.asarray(j)).astype(int)]
+
+
+def _chart_orbit_index(chart, i, j):
+    return _orbit_index(chart.group.blocks, chart.orbit_table, i, j)
+
+
 @functools.lru_cache(maxsize=64)
 def _build_chart(d, blocks):
     group = YoungPartitionGroup(blocks)
@@ -94,28 +157,90 @@ def _build_chart(d, blocks):
     if d < 4:
         raise InvalidPartition("charts require d >= 4")
 
-    idx = group.index_blocks()
-    q = len(idx)
-    basis = []
+    q = len(blocks)
+    starts = [r.start for r in group.index_blocks()]
+    orbits, sizes, rows, cols = [], [], [], []
+    table = np.full((q, q, 2), -1)
+
+    def add(a, b, diagonal, size, col):
+        table[a, b, int(diagonal)] = len(orbits)
+        orbits.append((a, b, diagonal))
+        sizes.append(size)
+        rows.append(starts[a])
+        cols.append(col)
+
     for a in range(q):
         for b in range(q):
-            B = np.zeros((d, d))
             if a == b:
-                rows = np.asarray(idx[a])
-                B[rows, rows] = 1.0
-                basis.append(B / np.linalg.norm(B))
-                size = len(rows)
-                if size >= 2:
-                    B2 = np.zeros((d, d))
-                    B2[np.ix_(rows, rows)] = 1.0
-                    B2[rows, rows] = 0.0
-                    basis.append(B2 / np.linalg.norm(B2))
+                add(a, a, True, blocks[a], starts[a])
+                if blocks[a] >= 2:
+                    add(a, a, False, blocks[a] * (blocks[a] - 1), starts[a] + 1)
             else:
-                B[np.ix_(np.asarray(idx[a]), np.asarray(idx[b]))] = 1.0
-                basis.append(B / np.linalg.norm(B))
-    arr = np.array(basis)
-    arr.setflags(write=False)
-    return FixedPointChart(group=group, basis=arr)
+                add(a, b, False, blocks[a] * blocks[b], starts[b])
+    coords, weights, block_of = [], [], []
+    for a, size in enumerate(blocks):
+        for r, w in zip(range(min(size, 3)), (1, 1, size - 2)):
+            coords.append(starts[a] + r)
+            weights.append(w)
+            block_of.append(a)
+    coords = np.array(coords)
+    pos = {int(c): k for k, c in enumerate(coords)}
+    cc_orbit = _orbit_index(blocks, table, coords[:, None], coords[None, :])
+    sizes = np.array(sizes, dtype=float)
+    sqrt_sizes = np.sqrt(sizes)
+    layout = OrbitLayout(
+        d=d,
+        sqrt_sizes=sqrt_sizes,
+        row_weights=np.array(blocks, dtype=float),
+        weights=np.array(weights, dtype=float),
+        block_of=np.array(block_of),
+        row_reps=np.array([pos[s] for s in starts]),
+        twin=np.array([k - 1 if c - starts[block_of[k]] == 2 else k
+                       for k, c in enumerate(coords)]),
+        cc_orbit=cc_orbit,
+        directions=(cc_orbit == np.arange(len(orbits))[:, None, None]) / sqrt_sizes[:, None, None],
+        out_row=np.array([a for a, _, _ in orbits]),
+        out_col=np.array([pos[c] for c in cols]),
+    )
+    return FixedPointChart(
+        group=group,
+        orbits=tuple(orbits),
+        sizes=sizes,
+        rep_rows=np.array(rows),
+        rep_cols=np.array(cols),
+        orbit_table=table,
+        layout=layout,
+    )
+
+
+def orbit_coordinates(chart, values):
+    """Chart coordinates of the fixed matrix with the given value on each orbit."""
+    return chart.layout.sqrt_sizes * np.asarray(values, dtype=float)
+
+
+def transfer(chart, xi, target, tol=1e-8):
+    """Coordinates on `target` of the matrix with coordinates xi on `chart`.
+
+    Works on one entry per orbit of the two charts' common refinement; no
+    d x d matrix is formed. Raises DimensionMismatch if the charts differ
+    in d or if the matrix is not fixed by the target's group (Frobenius
+    distance to its projection above tol).
+    """
+    if chart.d != target.d:
+        raise DimensionMismatch(f"charts have d = {chart.d} and d = {target.d}")
+    xi = np.asarray(xi, dtype=float).ravel()
+    if xi.shape[0] != chart.dim:
+        raise DimensionMismatch(f"expected {chart.dim} coordinates, got {xi.shape[0]}")
+    # np.unique would import numpy.ma, about 1 MB of resident memory
+    cuts = sorted(set(itertools.accumulate(chart.group.blocks))
+                  | set(itertools.accumulate(target.group.blocks)))
+    common = _build_chart(chart.d, tuple(b - a for a, b in zip([0] + cuts, cuts)))
+    values = (xi / chart.layout.sqrt_sizes)[_chart_orbit_index(chart, common.rep_rows, common.rep_cols)]
+    into = _chart_orbit_index(target, common.rep_rows, common.rep_cols)
+    mean = np.bincount(into, weights=common.sizes * values, minlength=target.dim) / target.sizes
+    if np.sqrt(np.sum(common.sizes * (values - mean[into]) ** 2)) > tol:
+        raise DimensionMismatch("the matrix is not fixed by the target chart's group")
+    return orbit_coordinates(target, mean)
 
 
 def embed(chart, xi):
@@ -123,7 +248,17 @@ def embed(chart, xi):
     xi = np.asarray(xi, dtype=float).ravel()
     if xi.shape[0] != chart.dim:
         raise DimensionMismatch(f"expected {chart.dim} coordinates, got {xi.shape[0]}")
-    return np.tensordot(xi, chart.basis, axes=1)
+    values = xi / chart.layout.sqrt_sizes
+    idx = [slice(r.start, r.stop) for r in chart.group.index_blocks()]
+    W = np.empty((chart.d, chart.d))
+    # whole blocks first, then the diagonals they contain
+    for (a, b, diagonal), v in zip(chart.orbits, values):
+        if not diagonal:
+            W[idx[a], idx[b]] = v
+    for (a, b, diagonal), v in zip(chart.orbits, values):
+        if diagonal:
+            np.fill_diagonal(W[idx[a], idx[a]], v)
+    return W
 
 
 def project(chart, M):
@@ -131,7 +266,17 @@ def project(chart, M):
     M = np.asarray(M, dtype=float)
     if M.shape != (chart.d, chart.d):
         raise DimensionMismatch(f"expected a {chart.d} x {chart.d} matrix, got {M.shape}")
-    return np.tensordot(chart.basis, M, axes=2)
+    idx = [slice(r.start, r.stop) for r in chart.group.index_blocks()]
+    sums = np.empty(chart.dim)
+    for o, (a, b, diagonal) in enumerate(chart.orbits):
+        blk = M[idx[a], idx[b]]
+        if diagonal:
+            sums[o] = np.trace(blk)
+        elif a == b:
+            sums[o] = blk.sum() - np.trace(blk)
+        else:
+            sums[o] = blk.sum()
+    return sums / chart.layout.sqrt_sizes
 
 
 def _split_parts(M):
@@ -231,57 +376,75 @@ def representative(label, copy, d):
     their complement; for 'y' the analogous hollow symmetric pattern.  Both
     are fixed by the (d-2, 1, 1) block action.
     """
+    return representative_entries(label, copy, d, *np.indices((d, d)))
+
+
+def representative_entries(label, copy, d, i, j):
+    """Entries (i, j) of `representative(label, copy, d)`, for index arrays.
+
+    Indices may run past d: the pattern then sits in the top-left d x d
+    corner of a larger matrix and is zero elsewhere, so spectra can read
+    it on one entry per chart orbit without forming it.
+    """
     if label == "t":
         raise UnsupportedLabel("the trivial component has no single representative; build a chart")
     if label not in ("s", "x", "y"):
         raise UnsupportedLabel(f"unknown isotypic label {label!r}")
     if d < 4:
         raise DimensionMismatch("representatives require d >= 4")
+    i = np.asarray(i)
+    j = np.asarray(j)
 
     if label == "s":
         if copy not in (1, 2, 3):
             raise UnsupportedLabel("label 's' has copies 1, 2, 3")
-        x = np.ones(d)
-        x[-1] = -(d - 1)
+        x = lambda k: np.where(k < d - 1, 1.0, np.where(k == d - 1, -(d - 1.0), 0.0))
+        inside = (i < d) & (j < d)
         if copy == 1:
-            return np.diag(x)
+            return np.where(i == j, x(i), 0.0)
         if copy == 2:
-            R = x[:, None] + x[None, :]
-            np.fill_diagonal(R, 0.0)
-            return R
-        R = x[:, None] - x[None, :]
-        return R
+            return np.where(inside & (i != j), x(i) + x(j), 0.0)
+        return np.where(inside, x(i) - x(j), 0.0)
 
     if copy != 1:
         raise UnsupportedLabel(f"label {label!r} has a single copy")
     m = d - 2
-    R = np.zeros((d, d))
+    bulk_i, bulk_j = i < m, j < m
+    pair_i, pair_j = (i == m) | (i == m + 1), (j == m) | (j == m + 1)
+    between = pair_i & pair_j & (i != j)
     if label == "x":
-        R[:m, m] = -1.0 / m
-        R[:m, m + 1] = 1.0 / m
-        R[m, :m] = 1.0 / m
-        R[m + 1, :m] = -1.0 / m
-        R[m, m + 1] = -1.0
-        R[m + 1, m] = 1.0
-        return R
+        sign = lambda k: np.where(k == m, 1.0, -1.0)
+        return np.select(
+            [bulk_i & pair_j, pair_i & bulk_j, between],
+            [-sign(j) / m, sign(i) / m, -sign(i)],
+            0.0,
+        )
     # label == "y"
-    R[:m, :m] = 2.0 / (m * (d - 3))
-    np.fill_diagonal(R[:m, :m], 0.0)
-    R[:m, m] = R[:m, m + 1] = -1.0 / m
-    R[m, :m] = R[m + 1, :m] = -1.0 / m
-    R[m, m + 1] = R[m + 1, m] = 1.0
-    return R
+    return np.select(
+        [bulk_i & bulk_j & (i != j), (bulk_i & pair_j) | (pair_i & bulk_j), between],
+        [2.0 / (m * (d - 3)), -1.0 / m, 1.0],
+        0.0,
+    )
 
 
-def _pair_fixes(W, i, j, tol):
-    """True if transposing coordinates i and j (rows and columns) fixes W."""
-    if abs(W[i, i] - W[j, j]) > tol or abs(W[i, j] - W[j, i]) > tol:
-        return False
-    row = np.abs(W[i, :] - W[j, :])
-    col = np.abs(W[:, i] - W[:, j])
-    row[[i, j]] = 0.0
-    col[[i, j]] = 0.0
-    return row.max() <= tol and col.max() <= tol
+def _fixing_pairs(W, F, U, tol):
+    """Boolean (len(F), len(U)) array: does transposing coordinates f and u
+    (rows and columns) fix W entrywise within tol?"""
+    d = W.shape[0]
+    out = np.empty((F.size, U.size), dtype=bool)
+    # bound the (chunk, len(U), d) difference arrays to about 32 MB
+    step = max(1, 2 ** 22 // max(1, U.size * d))
+    for s in range(0, F.size, step):
+        f = F[s:s + step]
+        ok = np.abs(W[f, f][:, None] - W[U, U][None, :]) <= tol
+        ok &= np.abs(W[np.ix_(f, U)] - W[np.ix_(U, f)].T) <= tol
+        for M in (W, W.T):  # rows, then columns, off the swapped pair
+            D = np.abs(M[f][:, None, :] - M[U][None, :, :])
+            D[np.arange(f.size), :, f] = 0.0
+            D[:, np.arange(U.size), U] = 0.0
+            ok &= D.max(axis=2) <= tol
+        out[s:s + step] = ok
+    return out
 
 
 def detect_diagonal_isotropy(W, tol=1e-8):
@@ -291,26 +454,25 @@ def detect_diagonal_isotropy(W, tol=1e-8):
     W entrywise within tol under the simultaneous action; the relation is an
     equivalence (conjugating one fixing transposition by another yields a
     third), so its classes generate the largest diagonal Young subgroup
-    fixing W.  Block sizes are returned in descending order.
+    fixing W.  The blocks are the connected components of the fixing-pair
+    graph, found breadth first: each level tests every newly reached
+    coordinate against all unreached ones at once. Block sizes are returned
+    in descending order.
     """
     W = np.asarray(W, dtype=float)
     d = W.shape[0]
-    parent = list(range(d))
-
-    def find(u):
-        while parent[u] != u:
-            parent[u] = parent[parent[u]]
-            u = parent[u]
-        return u
-
-    for i in range(d):
-        for j in range(i + 1, d):
-            if find(i) == find(j):
-                continue
-            if _pair_fixes(W, i, j, tol):
-                parent[find(j)] = find(i)
-    sizes = {}
-    for u in range(d):
-        root = find(u)
-        sizes[root] = sizes.get(root, 0) + 1
-    return YoungPartitionGroup(tuple(sorted(sizes.values(), reverse=True)))
+    unreached = np.ones(d, dtype=bool)
+    sizes = []
+    for start in range(d):
+        if not unreached[start]:
+            continue
+        unreached[start] = False
+        frontier = np.array([start])
+        size = 1
+        while frontier.size and unreached.any():
+            U = np.flatnonzero(unreached)
+            frontier = U[_fixing_pairs(W, frontier, U, tol).any(axis=0)]
+            unreached[frontier] = False
+            size += frontier.size
+        sizes.append(size)
+    return YoungPartitionGroup(tuple(sorted(sizes, reverse=True)))

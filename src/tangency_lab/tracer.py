@@ -12,17 +12,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atlas import chart_gradient, chart_hessian
+from .atlas import chart_gradient, chart_hessian, chart_loss, refined_minimum
 from .errors import (
     BadDirection,
-    DimensionMismatch,
     InsufficientSamples,
     InvalidPartition,
     NoConvergence,
     TangencyLabError,
 )
-from .kernel import loss
-from .symmetry import YoungPartitionGroup, build_chart, embed, isotypic_project, project
+from .symmetry import (
+    YoungPartitionGroup,
+    build_chart,
+    embed,
+    isotypic_project,
+    project,
+    transfer,
+)
 
 #: termination tags an arc can carry
 TERMINATIONS = ("SingularJacobian", "NewtonDiverged", "ReachedRmax", "StepStalled")
@@ -171,14 +176,6 @@ def continue_arc(grad_fn, hess_fn, center, direction, rayleigh, cfg):
             return samples, "StepStalled", r
 
 
-def _center_in_chart(chart, center):
-    Wc = embed(center.chart, center.xi)
-    center_xi = project(chart, Wc)
-    if np.linalg.norm(embed(chart, center_xi) - Wc) > 1e-8:
-        raise DimensionMismatch("center is not fixed by the chart's group")
-    return center_xi
-
-
 def trace_arc(chart, center, direction, cfg=None):
     """Trace a tangency arc of the loss from a refined critical point.
 
@@ -189,7 +186,7 @@ def trace_arc(chart, center, direction, cfg=None):
     """
     cfg = cfg or TraceConfig()
     direction = np.asarray(direction, dtype=float)
-    center_xi = _center_in_chart(chart, center)
+    center_xi = transfer(center.chart, center.xi, chart)
     v = project(chart, direction)
     if np.linalg.norm(embed(chart, v) - direction) > 1e-10:
         raise BadDirection("direction must lie in the chart span")
@@ -245,7 +242,7 @@ def sphere_extremize(chart, center, r, mode="min", n_starts=8, seed=0):
         raise ValueError("need n_starts >= 8")
     if r <= 0:
         raise ValueError("need r > 0")
-    center_xi = _center_in_chart(chart, center)
+    center_xi = transfer(center.chart, center.xi, chart)
     n = chart.dim
     sign = 1.0 if mode == "min" else -1.0
 
@@ -267,7 +264,7 @@ def sphere_extremize(chart, center, r, mode="min", n_starts=8, seed=0):
     for v0 in dirs:
         xi = center_xi + r * v0
         alpha = r / (1.0 + abs(evals[pick]) * r)
-        fx = loss(embed(chart, xi))
+        fx = chart_loss(chart, xi)
         for _ in range(budget):
             u = xi - center_xi
             g = chart_gradient(chart, xi)
@@ -281,7 +278,7 @@ def sphere_extremize(chart, center, r, mode="min", n_starts=8, seed=0):
             for _ in range(60):
                 u_new = u - alpha * gt
                 xi_new = center_xi + (r / np.linalg.norm(u_new)) * u_new
-                f_new = loss(embed(chart, xi_new))
+                f_new = chart_loss(chart, xi_new)
                 if sign * (f_new - fx) <= -1e-4 * alpha * gn * gn:
                     accepted = True
                     break
@@ -303,7 +300,7 @@ def sphere_extremize(chart, center, r, mode="min", n_starts=8, seed=0):
         gt = g - ((g @ u) / (r * r)) * u
         if np.linalg.norm(gt) > 1e-9:
             continue
-        fx = loss(embed(chart, sol_xi))
+        fx = chart_loss(chart, sol_xi)
         if best_val is None or sign * (fx - best_val) < 0:
             best_xi, best_val = sol_xi, fx
     if best_xi is None:
@@ -358,7 +355,7 @@ def minimal_eig_directions(chart, H, cluster_tol=1e-5):
     subbases = []
     for kp in range(1, k):
         sub = build_chart(d, YoungPartitionGroup((d - kp,) + (1,) * kp))
-        subbases.append(np.column_stack([project(chart, B) for B in sub.basis]))
+        subbases.append(np.column_stack([transfer(sub, e, chart) for e in np.eye(sub.dim)]))
     for label in ("t", "s", "x", "y"):
         A = np.column_stack(
             [project(chart, isotypic_project(embed(chart, E[:, j]), label)) for j in range(m)]
@@ -376,6 +373,13 @@ def minimal_eig_directions(chart, H, cluster_tol=1e-5):
                         add(L @ W[:, i])
         for j in range(L.shape[1]):
             add(L[:, j])
+    # a cluster spanning several labels (an exact degeneracy) is still
+    # split canonically by membership in the smaller ambients
+    for SB in subbases:
+        W, sv2, _ = np.linalg.svd(E.T @ SB, full_matrices=False)
+        for i in range(len(sv2)):
+            if sv2[i] >= 1.0 - 1e-6:
+                add(E @ W[:, i])
     for j in range(m):
         add(E[:, j])
     return cands, lam0
@@ -391,20 +395,12 @@ def arc_radius_table(families, ambients, ds, cfg=None, refine=None, keep_arcs=Fa
     reaches r_max. Per-cell failures are recorded as 'error:<name>'
     without aborting the rest of the table.
 
-    `refine` optionally maps (family, d) to a CriticalPointRecord,
-    letting callers cache refinements across cells. With `keep_arcs`
-    each cell also carries the ArcRecord that realized its radius.
+    `refine` maps (family, d) to a CriticalPointRecord, by default the
+    memoized `atlas.refined_minimum`. With `keep_arcs` each cell also
+    carries the ArcRecord that realized its radius.
     """
-    from .atlas import refine_critical, seed_minimum
-
     cfg = cfg or TraceConfig()
-    if refine is None:
-        cache = {}
-
-        def refine(family, d):
-            if (family, d) not in cache:
-                cache[(family, d)] = refine_critical(*seed_minimum(family, d))
-            return cache[(family, d)]
+    refine = refine or refined_minimum
 
     ks = [_ambient_split(a) for a in ambients]
     table = {}
@@ -415,7 +411,7 @@ def arc_radius_table(families, ambients, ds, cfg=None, refine=None, keep_arcs=Fa
                 cell = {}
                 try:
                     rec = refine(family, d)
-                    center_xi = _center_in_chart(chart, rec)
+                    center_xi = transfer(rec.chart, rec.xi, chart)
                     Hc = chart_hessian(chart, center_xi)
                     dirs, lam0 = minimal_eig_directions(chart, Hc)
                 except TangencyLabError as e:
@@ -502,5 +498,5 @@ def arc_to_csv(arc):
     """CSV of r, loss, lambda along the arc (for plotting profiles)."""
     lines = ["r,loss,lambda"]
     for r, xi, lam in arc.samples:
-        lines.append("%.17g,%.17g,%.17g" % (r, loss(embed(arc.chart, xi)), lam))
+        lines.append("%.17g,%.17g,%.17g" % (r, chart_loss(arc.chart, xi), lam))
     return "\n".join(lines) + "\n"

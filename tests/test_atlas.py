@@ -12,6 +12,7 @@ from tangency_lab.atlas import (
     eval_series,
     predicted_loss,
     refine_critical,
+    refined_minimum,
     seed_minimum,
     series_table,
 )
@@ -161,3 +162,18 @@ def test_seed_is_close_to_refined_point():
         chart, xi0 = seed_minimum(fam, 30)
         rec = refine_critical(chart, xi0)
         assert np.max(np.abs(rec.xi - xi0)) <= 0.2
+
+
+def test_refined_minimum_is_shared_and_read_only():
+    rec = refined_minimum("C0I", 9)
+    assert refined_minimum("C0I", 9) is rec
+    assert not rec.xi.flags.writeable
+    assert rec.grad_norm <= 1e-11
+
+
+def test_c1ii_seed_is_already_refined():
+    # the C1II seed is the refined point its probes converged to, so a
+    # second refinement changes nothing
+    chart, xi0 = seed_minimum("C1II", 8)
+    rec = refine_critical(chart, xi0)
+    assert np.array_equal(rec.xi, xi0)

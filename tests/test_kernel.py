@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tangency_lab.atlas import chart_hessian
-from tangency_lab.errors import DimensionMismatch, NearParallelRows
+from tangency_lab.atlas import chart_gradient, chart_hessian, chart_loss
+from tangency_lab.errors import DegenerateVector, DimensionMismatch, NearParallelRows
 from tangency_lab.kernel import grad_loss, hvp, kernel_phi, loss
-from tangency_lab.symmetry import YoungPartitionGroup, build_chart, project
+from tangency_lab.symmetry import YoungPartitionGroup, build_chart, embed, project
 
 
 def random_matrix(d, seed, scale=1.0):
@@ -190,3 +190,59 @@ def test_identity_has_exact_triple_eigenvalue_on_split_chart(d):
     exact = (np.pi - 2) / (4 * np.pi)
     assert np.max(np.abs(evals[:3] - exact)) <= 1e-12
     assert evals[3] > exact + 0.01
+
+
+# ------------------------------------------------- orbit-reduced chart path
+
+ORBIT_PARTITIONS = [(7,), (6, 1), (5, 1, 1), (2, 2, 3), (1, 6), (3, 1, 2, 1),
+                    (20,), (17, 1, 1, 1), (5, 4, 3), (100,), (99, 1), (98, 1, 1)]
+
+
+def _dense_chart_values(chart, xi):
+    W = embed(chart, xi)
+    H = np.tensordot(chart.basis, hvp(W, chart.basis), axes=([1, 2], [1, 2]))
+    return loss(W), project(chart, grad_loss(W)), 0.5 * (H + H.T)
+
+
+@pytest.mark.parametrize("blocks", ORBIT_PARTITIONS)
+def test_orbit_path_matches_dense_oracle(blocks):
+    # chart loss, gradient and Hessian from one representative row per
+    # block against the d x d kernel, at random points and at W = I
+    d = sum(blocks)
+    chart = build_chart(d, YoungPartitionGroup(blocks))
+    rng = np.random.default_rng(d + len(blocks))
+    points = [project(chart, np.eye(d))]
+    points += [project(chart, np.eye(d) + 0.3 * embed(chart, rng.normal(size=chart.dim)))
+               for _ in range(2)]
+    for xi in points:
+        L, g, H = _dense_chart_values(chart, xi)
+        assert abs(chart_loss(chart, xi) - L) <= 1e-10 * max(1.0, abs(L))
+        gap = np.max(np.abs(chart_gradient(chart, xi) - g))
+        assert gap <= 1e-10 * max(1.0, np.max(np.abs(g)))
+        gap = np.max(np.abs(chart_hessian(chart, xi) - H))
+        assert gap <= 1e-10 * max(1.0, np.max(np.abs(H)))
+
+
+def test_orbit_path_raises_the_dense_error_types():
+    chart = build_chart(7, YoungPartitionGroup((1, 1, 5)))
+    fns = (chart_loss, chart_gradient, chart_hessian)
+    for fn in fns:
+        with pytest.raises(DimensionMismatch):
+            fn(chart, np.ones(chart.dim + 1))
+        with pytest.raises(DegenerateVector):
+            fn(chart, np.full(chart.dim, np.nan))
+        with pytest.raises(DegenerateVector):
+            fn(chart, np.zeros(chart.dim))
+    # student row 1 = -(student row 0), and W = -I (every student row
+    # antiparallel to its teacher row): the dense gradient raises too
+    W = embed(chart, np.random.default_rng(5).normal(size=chart.dim))
+    W[1] = -W[0]
+    for M in (W, -np.eye(7)):
+        xi = project(chart, M)
+        with pytest.raises(NearParallelRows):
+            grad_loss(embed(chart, xi))
+        for fn in (chart_gradient, chart_hessian):
+            with pytest.raises(NearParallelRows):
+                fn(chart, xi)
+        assert np.isfinite(chart_loss(chart, xi))
+        assert chart_loss(chart, xi) == pytest.approx(loss(embed(chart, xi)), abs=1e-12)

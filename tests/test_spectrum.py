@@ -1,7 +1,10 @@
+import sys
+
 import numpy as np
 import pytest
 
-from tangency_lab.atlas import FAMILIES, refine_critical, seed_minimum
+from tangency_lab import kernel
+from tangency_lab.atlas import FAMILIES, refine_critical, refined_minimum, seed_minimum
 from tangency_lab.errors import TooLarge
 from tangency_lab.spectrum import (
     FAMILY_ORDER,
@@ -15,7 +18,7 @@ from tangency_lab.spectrum import (
     x_eigenvalue,
     y_eigenvalue,
 )
-from tangency_lab.symmetry import embed
+from tangency_lab.symmetry import embed, representative
 
 
 @pytest.fixture(scope="module")
@@ -170,3 +173,67 @@ def test_brute_spectrum_on_identity_is_positive():
     assert len(evs) == 49
     assert evs[0] > 0
     assert evs == sorted(evs)
+
+
+def _dense_s_x_y(rec):
+    """s, x and y eigenvalues from d x d representatives and dense hvp."""
+    d = rec.d
+    p = d - rec.chart.group.blocks[0]
+    q = d - p
+    W = embed(rec.chart, rec.xi)
+
+    def top_left(R):
+        M = np.zeros((d, d))
+        M[:q, :q] = R
+        return M
+
+    copies = [top_left(representative("s", c, q)) for c in (1, 2, 3)]
+    u = np.diag(representative("s", 1, q))
+    for f in range(q, d):
+        for axis in (0, 1):
+            M = np.zeros((d, d))
+            if axis == 0:
+                M[:q, f] = u
+            else:
+                M[f, :q] = u
+            copies.append(M)
+    C = np.array(copies)
+    C /= np.linalg.norm(C, axis=(1, 2))[:, None, None]
+    alpha = np.tensordot(kernel.hvp(W, C), C, axes=([1, 2], [1, 2]))
+    s = np.linalg.eigvalsh(0.5 * (alpha + alpha.T))
+    xy = []
+    for label in ("x", "y"):
+        R = top_left(representative(label, 1, q))
+        xy.append(float(np.sum(kernel.hvp(W, R) * R) / np.sum(R * R)))
+    return s, xy
+
+
+def test_chart_spectrum_matches_dense_representatives_at_d20():
+    for fam in FAMILIES:
+        rep = full_spectrum(refined_minimum(fam, 20))
+        s, (x, y) = _dense_s_x_y(refined_minimum(fam, 20))
+        got = {lab: [ev for ev, _, l in rep.entries if l == lab] for lab in "sxy"}
+        np.testing.assert_allclose(got["s"], s, rtol=1e-10, atol=1e-12)
+        assert got["x"][0] == pytest.approx(x, rel=1e-10, abs=1e-12)
+        assert got["y"][0] == pytest.approx(y, rel=1e-10, abs=1e-12)
+
+
+def test_spectrum_at_d1000_forms_no_dense_kernel_call(monkeypatch):
+    # refinement and spectrum run on chart orbits only: every binding of
+    # the d x d kernel in the package raises
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense kernel called")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("tangency_lab"):
+            for fn in ("loss", "grad_loss", "hvp"):
+                if getattr(module, fn, None) is getattr(kernel, fn):
+                    monkeypatch.setattr(module, fn, forbidden)
+    d = 1000
+    for fam in FAMILIES:
+        rep = full_spectrum(refine_critical(*seed_minimum(fam, d)))
+        pred = predicted_spectrum(fam, d)
+        assert sum(m for _, m, _ in rep.entries) == d * d
+        assert min(ev for ev, _, _ in rep.entries) > 0
+        for (ev, _, lab), (pv, _, _) in zip(rep.entries, pred.entries):
+            assert abs(ev - pv) <= max(0.05, 1e-3 * abs(pv)), (fam, lab, ev, pv)

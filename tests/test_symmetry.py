@@ -14,6 +14,7 @@ from tangency_lab.symmetry import (
     isotypic_project,
     project,
     representative,
+    transfer,
 )
 
 
@@ -262,3 +263,56 @@ def test_build_chart_is_shared_for_equal_arguments():
     assert build_chart(9, YoungPartitionGroup((7, 1, 1))) is chart
     assert build_chart(9, (8, 1)) is not chart
     assert not chart.basis.flags.writeable
+
+
+def _pair_loop_isotropy(W, tol=1e-8):
+    """Reference: union of every fixing transposition, one pair at a time."""
+    d = W.shape[0]
+    parent = list(range(d))
+
+    def find(u):
+        while parent[u] != u:
+            u = parent[u]
+        return u
+
+    for i in range(d):
+        for j in range(i + 1, d):
+            if abs(W[i, i] - W[j, j]) > tol or abs(W[i, j] - W[j, i]) > tol:
+                continue
+            keep = [k for k in range(d) if k not in (i, j)]
+            if (np.max(np.abs(W[i, keep] - W[j, keep])) <= tol
+                    and np.max(np.abs(W[keep, i] - W[keep, j])) <= tol):
+                parent[find(j)] = find(i)
+    sizes = {}
+    for u in range(d):
+        sizes[find(u)] = sizes.get(find(u), 0) + 1
+    return tuple(sorted(sizes.values(), reverse=True))
+
+
+def test_detect_isotropy_matches_pair_loop():
+    rng = np.random.default_rng(21)
+    for d in (5, 7, 9):
+        for _ in range(15):
+            cuts = np.sort(rng.choice(np.arange(1, d), size=rng.integers(0, 4), replace=False))
+            blocks = tuple(int(b) for b in np.diff(np.concatenate([[0], cuts, [d]])))
+            chart = build_chart(d, YoungPartitionGroup(blocks))
+            W = embed(chart, rng.integers(-2, 3, size=chart.dim).astype(float))
+            perm = rng.permutation(d)
+            W = W[np.ix_(perm, perm)] + rng.choice([0.0, 1e-9, 0.2]) * rng.normal(size=(d, d))
+            for tol in (1e-8, 0.3, 1.5):
+                assert detect_diagonal_isotropy(W, tol).blocks == _pair_loop_isotropy(W, tol)
+
+
+def test_transfer_reads_fixed_matrices_between_charts():
+    d = 9
+    coarse = build_chart(d, YoungPartitionGroup((8, 1)))
+    fine = build_chart(d, YoungPartitionGroup((6, 1, 1, 1)))
+    xi = np.random.default_rng(8).normal(size=coarse.dim)
+    moved = transfer(coarse, xi, fine)
+    assert np.max(np.abs(moved - project(fine, embed(coarse, xi)))) <= 1e-13
+    assert np.max(np.abs(transfer(fine, moved, coarse) - xi)) <= 1e-13
+    # a generic point of the finer chart is not fixed by the coarser group
+    with pytest.raises(DimensionMismatch):
+        transfer(fine, np.random.default_rng(9).normal(size=fine.dim), coarse)
+    with pytest.raises(DimensionMismatch):
+        transfer(coarse, xi, build_chart(8, YoungPartitionGroup((7, 1))))

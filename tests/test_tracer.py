@@ -7,6 +7,7 @@ from tangency_lab.atlas import (
     chart_gradient,
     chart_hessian,
     refine_critical,
+    refined_minimum,
     seed_minimum,
 )
 from tangency_lab.errors import BadDirection, InsufficientSamples
@@ -254,6 +255,23 @@ def test_minimal_eig_directions_spans_cluster(c0i_record):
     G = np.array([[a @ b for b in dirs] for a in dirs])
     assert np.max(np.abs(G - np.eye(len(dirs)))) <= 1e-8
     assert lam0 == pytest.approx(float(evals[0]), abs=1e-12)
+
+
+def test_minimal_eig_directions_are_canonical_in_exact_cluster():
+    # C1II, k = 3, d = 20: the minimal eigenvalue is exactly 2-fold and no
+    # isotypic label splits it; the directions must not depend on how the
+    # eigensolver rotates the cluster, which rounding decides
+    d = 20
+    chart = build_chart(d, YoungPartitionGroup((d - 3, 1, 1, 1)))
+    H = chart_hessian(chart, _project_center(chart, refined_minimum("C1II", d)))
+    dirs, _ = minimal_eig_directions(chart, H)
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        P = rng.normal(size=H.shape)
+        again, _ = minimal_eig_directions(chart, H + 1e-14 * (P + P.T))
+        assert len(again) == len(dirs)
+        for a, b in zip(dirs, again):
+            assert min(np.linalg.norm(a - b), np.linalg.norm(a + b)) <= 1e-8
 
 
 # ----------------------------------------------------------- radius table
