@@ -96,7 +96,6 @@ class FixedPointChart:
 
     group: YoungPartitionGroup
     orbits: tuple
-    sizes: np.ndarray = field(repr=False)
     rep_rows: np.ndarray = field(repr=False)
     rep_cols: np.ndarray = field(repr=False)
     orbit_table: np.ndarray = field(repr=False)  # (q, q, 2): orbit of (a, b, i == j)
@@ -143,10 +142,6 @@ def _orbit_index(blocks, table, i, j):
     a = np.searchsorted(stops, i, side="right")
     b = np.searchsorted(stops, j, side="right")
     return table[a, b, (np.asarray(i) == np.asarray(j)).astype(int)]
-
-
-def _chart_orbit_index(chart, i, j):
-    return _orbit_index(chart.group.blocks, chart.orbit_table, i, j)
 
 
 @functools.lru_cache(maxsize=64)
@@ -205,7 +200,6 @@ def _build_chart(d, blocks):
     return FixedPointChart(
         group=group,
         orbits=tuple(orbits),
-        sizes=sizes,
         rep_rows=np.array(rows),
         rep_cols=np.array(cols),
         orbit_table=table,
@@ -218,13 +212,13 @@ def orbit_coordinates(chart, values):
     return chart.layout.sqrt_sizes * np.asarray(values, dtype=float)
 
 
-def transfer(chart, xi, target, tol=1e-8):
+def transfer(chart, xi, target):
     """Coordinates on `target` of the matrix with coordinates xi on `chart`.
 
     Works on one entry per orbit of the two charts' common refinement; no
     d x d matrix is formed. Raises DimensionMismatch if the charts differ
     in d or if the matrix is not fixed by the target's group (Frobenius
-    distance to its projection above tol).
+    distance to its projection above 1e-8).
     """
     if chart.d != target.d:
         raise DimensionMismatch(f"charts have d = {chart.d} and d = {target.d}")
@@ -235,10 +229,15 @@ def transfer(chart, xi, target, tol=1e-8):
     cuts = sorted(set(itertools.accumulate(chart.group.blocks))
                   | set(itertools.accumulate(target.group.blocks)))
     common = _build_chart(chart.d, tuple(b - a for a, b in zip([0] + cuts, cuts)))
-    values = (xi / chart.layout.sqrt_sizes)[_chart_orbit_index(chart, common.rep_rows, common.rep_cols)]
-    into = _chart_orbit_index(target, common.rep_rows, common.rep_cols)
-    mean = np.bincount(into, weights=common.sizes * values, minlength=target.dim) / target.sizes
-    if np.sqrt(np.sum(common.sizes * (values - mean[into]) ** 2)) > tol:
+    values = (xi / chart.layout.sqrt_sizes)[
+        _orbit_index(chart.group.blocks, chart.orbit_table, common.rep_rows, common.rep_cols)]
+    into = _orbit_index(target.group.blocks, target.orbit_table, common.rep_rows, common.rep_cols)
+    # the projection averages each target orbit over the common orbits it
+    # contains, weighted by their sizes (integers, recovered exactly)
+    weights = np.rint(common.layout.sqrt_sizes ** 2)
+    mean = (np.bincount(into, weights=weights * values, minlength=target.dim)
+            / np.bincount(into, weights=weights, minlength=target.dim))
+    if np.sqrt(np.sum(weights * (values - mean[into]) ** 2)) > 1e-8:
         raise DimensionMismatch("the matrix is not fixed by the target chart's group")
     return orbit_coordinates(target, mean)
 

@@ -3,6 +3,7 @@ import sys
 import numpy as np
 import pytest
 
+import tangency_lab.spectrum as spectrum_module
 from tangency_lab import kernel
 from tangency_lab.atlas import FAMILIES, refine_critical, refined_minimum, seed_minimum
 from tangency_lab.errors import TooLarge
@@ -224,11 +225,13 @@ def test_spectrum_at_d1000_forms_no_dense_kernel_call(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("dense kernel called")
 
+    dense = {fn: getattr(kernel, fn) for fn in ("loss", "grad_loss", "hvp")}
     for name, module in list(sys.modules.items()):
         if name.startswith("tangency_lab"):
-            for fn in ("loss", "grad_loss", "hvp"):
-                if getattr(module, fn, None) is getattr(kernel, fn):
+            for fn, original in dense.items():
+                if getattr(module, fn, None) is original:
                     monkeypatch.setattr(module, fn, forbidden)
+    assert spectrum_module.hvp is forbidden
     d = 1000
     for fam in FAMILIES:
         rep = full_spectrum(refine_critical(*seed_minimum(fam, d)))
