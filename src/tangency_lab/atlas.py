@@ -128,11 +128,6 @@ def _type_label(chart, xi):
     return "I" if v < 0 else "II"
 
 
-def classify_type(record):
-    """Sign type of a refined record: I for big-block diagonal near -1, II near +1."""
-    return _type_label(record.chart, record.xi)
-
-
 def chart_loss(chart, xi):
     """Loss at the fixed matrix with chart coordinates xi, evaluated on the chart's orbits."""
     return orbit_loss(chart.layout, xi)

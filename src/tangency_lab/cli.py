@@ -9,7 +9,9 @@ outputs are kept).
 """
 
 import argparse
+import dataclasses
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -78,6 +80,16 @@ def _csv_header(config):
     return "# config: " + _json_text(config) + "\n"
 
 
+def _cell(value):
+    return "%.17g" % value if isinstance(value, (float, np.floating)) else str(value)
+
+
+def _write_csv(outdir, name, config, columns, rows):
+    """A table under its config line: floats at 17 significant digits, other cells via str."""
+    lines = [",".join(columns)] + [",".join(_cell(v) for v in row) for row in rows]
+    return _write(outdir, name, _csv_header(config) + "\n".join(lines) + "\n")
+
+
 def _parse_int_list(text, what):
     try:
         vals = [int(x) for x in str(text).split(",") if x != ""]
@@ -112,6 +124,8 @@ def _parse_range(text, what):
         lo, hi = float(parts[0]), float(parts[1])
     except ValueError:
         raise ConfigError(f"{what} must be numeric, got {text!r}")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"{what} bounds must be finite, got {text!r}")
     if not lo < hi:
         raise ConfigError(f"{what} must be increasing, got {text!r}")
     return lo, hi
@@ -173,14 +187,13 @@ def cmd_spectrum(args, outdir):
             _write_json(outdir, f"spectrum_{fam}_d{d}.json", payload)
             by_d.setdefault(d, {})[fam] = payload
 
+    cols = ["component", "slot"]
+    for fam in families:
+        cols += [fam, fam + "_mult", fam + "_absdiff"]
+        if args.brute:
+            cols.append(fam + "_brute")
     for d, per_fam in sorted(by_d.items()):
-        lines = [_csv_header(config).rstrip("\n")]
-        cols = ["component", "slot"]
-        for fam in families:
-            cols += [fam, fam + "_mult", fam + "_absdiff"]
-            if args.brute:
-                cols.append(fam + "_brute")
-        lines.append(",".join(cols))
+        rows = []
         slots = {}
         for fam in families:
             by_label = {}
@@ -190,22 +203,17 @@ def cmd_spectrum(args, outdir):
         for label in ("t", "s", "x", "y"):
             n = max(len(slots[f].get(label, [])) for f in families)
             for k in range(n):
-                row = [label, str(k + 1)]
+                row = [label, k + 1]
                 for fam in families:
                     es = slots[fam].get(label, [])
                     if k < len(es):
-                        e = es[k]
-                        row += [
-                            "%.17g" % e["eigenvalue"],
-                            str(e["multiplicity"]),
-                            "%.17g" % e["absdiff"],
-                        ]
+                        row += [es[k]["eigenvalue"], es[k]["multiplicity"], es[k]["absdiff"]]
                     else:
                         row += ["", "", ""]
                     if args.brute:
-                        row.append("%.17g" % per_fam[fam]["brute_max_absdiff"])
-                lines.append(",".join(row))
-        _write(outdir, f"spectrum_table_d{d}.csv", "\n".join(lines) + "\n")
+                        row.append(per_fam[fam]["brute_max_absdiff"])
+                rows.append(row)
+        _write_csv(outdir, f"spectrum_table_d{d}.csv", config, cols, rows)
     return 0
 
 
@@ -213,22 +221,19 @@ def cmd_spectrum(args, outdir):
 
 
 def _trace_config(args):
-    kw = {}
-    for name in ("delta_r", "r_min", "r_max", "newton_tol", "cond_threshold"):
-        val = getattr(args, name, None)
-        if val is not None:
-            kw[name] = float(val)
-    if getattr(args, "max_newton_iters", None) is not None:
-        kw["max_newton_iters"] = int(args.max_newton_iters)
+    """TraceConfig from the flags that were given, each cast to its field's type."""
     try:
-        return TraceConfig(**kw)
-    except ValueError as e:
+        return TraceConfig(**{
+            f.name: f.type(getattr(args, f.name))
+            for f in dataclasses.fields(TraceConfig)
+            if getattr(args, f.name, None) is not None
+        })
+    except (TypeError, ValueError) as e:
         raise ConfigError(str(e))
 
 
 def _arc_cell(task):
-    family, k, d, cfg_kw = task
-    cfg = TraceConfig(**cfg_kw)
+    family, k, d, cfg = task
     table = arc_radius_table([family], [k], [d], cfg=cfg, keep_arcs=True)
     return (family, k, d), table[(family, k, d)]
 
@@ -241,40 +246,32 @@ def cmd_arcs(args, outdir):
     for k in ks:
         if k < 1 or k > min(ds) - 4:
             raise ConfigError(f"ambient split k={k} must satisfy 1 <= k <= d-4")
+    if args.jobs < 0:
+        raise ConfigError(f"--jobs must be at least 0, got {args.jobs}")
     cfg = _trace_config(args)
-    cfg_kw = {
-        "delta_r": cfg.delta_r,
-        "r_min": cfg.r_min,
-        "r_max": cfg.r_max,
-        "newton_tol": cfg.newton_tol,
-        "max_newton_iters": cfg.max_newton_iters,
-        "cond_threshold": cfg.cond_threshold,
-    }
     config = {
         "command": "arcs",
         "family": families,
         "d": ds,
         "k": ks,
-        "trace": cfg_kw,
+        "trace": dataclasses.asdict(cfg),
         "seed": args.seed,
     }
-    tasks = [
-        (fam, k, d, cfg_kw) for d in sorted(ds) for k in sorted(ks) for fam in families
-    ]
-    jobs = args.jobs if args.jobs else 1
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    tasks = [(fam, k, d, cfg) for d in sorted(ds) for k in sorted(ks) for fam in families]
+    # a fork-based pool starts every worker at its first submit
+    workers = min(args.jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = dict(pool.map(_arc_cell, tasks))
     else:
         results = dict(_arc_cell(t) for t in tasks)
 
     failed = False
-    lines = [_csv_header(config).rstrip("\n")]
-    lines.append("d,k," + ",".join(families))
+    rows = []
     runs_payload = {}
     for d in sorted(ds):
         for k in sorted(ks):
-            row = [str(d), str(k)]
+            row = [d, k]
             for fam in families:
                 cell = results[(fam, k, d)]
                 row.append(cell["value"])
@@ -294,8 +291,8 @@ def cmd_arcs(args, outdir):
                 if arc is not None:
                     _write_json(outdir, f"arc_{key}.json", arc_to_json(arc, cfg))
                     _write(outdir, f"arc_{key}.csv", arc_to_csv(arc))
-            lines.append(",".join(row))
-    _write(outdir, "arcs_table.csv", "\n".join(lines) + "\n")
+            rows.append(row)
+    _write_csv(outdir, "arcs_table.csv", config, ["d", "k"] + families, rows)
     _write_json(outdir, "arcs_runs.json", {"config": config, "cells": runs_payload})
     return 3 if failed else 0
 
@@ -325,6 +322,8 @@ def cmd_sphere(args, outdir):
     if count < 2:
         raise ConfigError("--r-count must be at least 2")
     n_starts = int(args.n_starts)
+    if n_starts < 8:
+        raise ConfigError("--n-starts must be at least 8")
     config = {
         "command": "sphere",
         "family": family,
@@ -370,14 +369,8 @@ def cmd_sphere(args, outdir):
     name = f"sphere_{family}_d{d}_k{k}"
     _write_json(outdir, name + ".json", {"config": config, "rows": rows})
     cols = ["r", "m_r", "min_isotropy", "min_label", "M_r", "max_isotropy", "max_label"]
-    lines = [_csv_header(config).rstrip("\n"), ",".join(cols)]
-    for row in rows:
-        out = ["%.17g" % row["r"]]
-        for c in ("m_r", "min_isotropy", "min_label", "M_r", "max_isotropy", "max_label"):
-            v = row.get(c, "")
-            out.append("%.17g" % v if isinstance(v, float) else str(v))
-        lines.append(",".join(out))
-    _write(outdir, name + ".csv", "\n".join(lines) + "\n")
+    _write_csv(outdir, name + ".csv", config, cols,
+               [[row.get(c, "") for c in cols] for row in rows])
     return 0
 
 
@@ -407,6 +400,8 @@ def cmd_toy(args, outdir):
                 centers[name] = (float(parts[0]), float(parts[1]))
             except ValueError:
                 raise ConfigError(f"--center coordinates must be numeric, got {name!r}")
+            if not all(math.isfinite(v) for v in centers[name]):
+                raise ConfigError(f"--center coordinates must be finite, got {name!r}")
     resolution = int(args.resolution)
     if resolution < 64:
         raise ConfigError("--resolution must be at least 64")
@@ -435,8 +430,7 @@ def cmd_minima(args, outdir):
     ds = _parse_int_list(args.d, "--d")
     _check_widths(ds)
     config = {"command": "minima", "family": families, "d": ds, "seed": args.seed}
-    lines = [_csv_header(config).rstrip("\n")]
-    lines.append("family,d,loss,loss_predicted,absdiff,grad_norm,type")
+    rows = []
     for d in sorted(ds):
         for fam in families:
             rec = refined_minimum(fam, d)
@@ -453,20 +447,10 @@ def cmd_minima(args, outdir):
                 "type": rec.type_label,
             }
             _write_json(outdir, f"minimum_{fam}_d{d}.json", payload)
-            lines.append(
-                ",".join(
-                    [
-                        fam,
-                        str(d),
-                        "%.17g" % rec.loss_value,
-                        "%.17g" % pred,
-                        "%.17g" % abs(rec.loss_value - pred),
-                        "%.17g" % rec.grad_norm,
-                        rec.type_label,
-                    ]
-                )
-            )
-    _write(outdir, "minima_table.csv", "\n".join(lines) + "\n")
+            rows.append([fam, d, rec.loss_value, pred, abs(rec.loss_value - pred),
+                         rec.grad_norm, rec.type_label])
+    cols = ["family", "d", "loss", "loss_predicted", "absdiff", "grad_norm", "type"]
+    _write_csv(outdir, "minima_table.csv", config, cols, rows)
     return 0
 
 

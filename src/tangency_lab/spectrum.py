@@ -18,8 +18,6 @@ eigensolve over all d^2 elementary directions serves as the oracle at
 small d.
 """
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,9 +31,6 @@ from .errors import (
 from .atlas import chart_hessian
 from .kernel import hvp
 from .symmetry import build_chart, orbit_coordinates, representative_entries, transfer
-
-#: family tags in the fixed column order used by the CSV layout
-FAMILY_ORDER = ("C0I", "C0II", "C1I", "C1II")
 
 
 @dataclass(frozen=True)
@@ -116,16 +111,6 @@ def _xy_eigenvalues(record):
             raise RepresentativeDegenerate(f"{label}-representative has tiny norm")
         out.append(float(r @ H @ r) / nrm2)
     return out
-
-
-def x_eigenvalue(record):
-    """Single eigenvalue on the skew zero-row-sum component."""
-    return _xy_eigenvalues(record)[0]
-
-
-def y_eigenvalue(record):
-    """Single eigenvalue on the hollow symmetric zero-row-sum component."""
-    return _xy_eigenvalues(record)[1]
 
 
 def full_spectrum(record):
@@ -232,60 +217,3 @@ def expand_report(report):
     for ev, mult, _ in report.entries:
         out.extend([ev] * mult)
     return sorted(out)
-
-
-def report_to_json(report):
-    return {
-        "d": report.d,
-        "entries": [
-            {"eigenvalue": ev, "multiplicity": mult, "label": label}
-            for ev, mult, label in report.entries
-        ],
-    }
-
-
-def report_from_json(obj):
-    return SpectrumReport(
-        entries=tuple(
-            (e["eigenvalue"], e["multiplicity"], e["label"]) for e in obj["entries"]
-        ),
-        d=obj["d"],
-    )
-
-
-def reports_to_csv(reports):
-    """Wide CSV: rows are component slots, columns are families.
-
-    `reports` maps family tag -> SpectrumReport. Cells hold eigenvalues at
-    17 significant digits; each family also gets a multiplicity column.
-    """
-    fams = [f for f in FAMILY_ORDER if f in reports] + [
-        f for f in reports if f not in FAMILY_ORDER
-    ]
-    per = {}
-    slots = []
-    for fam in fams:
-        by_label = {}
-        for ev, mult, label in reports[fam].entries:
-            by_label.setdefault(label, []).append((ev, mult))
-        per[fam] = by_label
-    for label in ("t", "s", "x", "y"):
-        depth = max((len(per[f].get(label, ())) for f in fams), default=0)
-        slots.extend((label, k) for k in range(depth))
-
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    header = ["component", "slot"]
-    for fam in fams:
-        header += [fam, fam + "_mult"]
-    w.writerow(header)
-    for label, k in slots:
-        row = [label, k + 1]
-        for fam in fams:
-            vals = per[fam].get(label, [])
-            if k < len(vals):
-                row += ["%.17g" % vals[k][0], vals[k][1]]
-            else:
-                row += ["", ""]
-        w.writerow(row)
-    return buf.getvalue()

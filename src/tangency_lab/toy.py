@@ -119,7 +119,8 @@ def tangency_residual(c, p):
 
 def _grid_residual(c, xs, ys):
     cx, cy = _xy(c)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    # a column against a row, so no full coordinate grid is stored
+    X, Y = xs[:, None], ys[None, :]
     gx = 4.0 * X**3 + 2.0 * X * Y**2 - 4.0 * X
     gy = 2.0 * X**2 * Y + 4.0 * Y**3 - 4.0 * Y
     return gx * (Y - cy) - gy * (X - cx)
@@ -128,10 +129,10 @@ def _grid_residual(c, xs, ys):
 def sample_tangency_set(c, resolution=512, extent=(-2.0, 2.0)):
     """Zero contour of the tangency residual of center c on a square grid.
 
-    Marching squares with linear interpolation along cell edges; one
-    point per crossed edge, deduplicated, sorted, and with a 1e-6 disk
-    around the center removed. resolution is the number of cells per
-    axis and must be at least 64.
+    Marching squares with linear interpolation along cell edges: one
+    point per crossed edge, sorted, with a 1e-6 disk around the center
+    removed. resolution is the number of cells per axis and must be at
+    least 64.
     """
     if resolution < 64:
         raise ValueError("resolution must be at least 64")
@@ -143,29 +144,20 @@ def sample_tangency_set(c, resolution=512, extent=(-2.0, 2.0)):
     ys = np.linspace(lo, hi, resolution + 1)
     F = _grid_residual(c, xs, ys)
 
-    pts = {}
-
-    def edge(v0, v1, x0, y0, x1, y1, key):
-        if v0 == 0.0 and v1 == 0.0:
-            return
-        if v0 * v1 > 0.0:
-            return
+    # vertical edges join nodes (i, j) and (i, j+1), horizontal ones
+    # (i, j) and (i+1, j); an edge is crossed unless its end values
+    # share a strict sign or are both zero
+    pts = []
+    for di, dj in ((0, 1), (1, 0)):
+        v0 = F[:resolution + 1 - di, :resolution + 1 - dj]
+        v1 = F[di:, dj:]
+        i, j = np.nonzero(~((v0 == 0.0) & (v1 == 0.0)) & ~(v0 * v1 > 0.0))
+        v0, v1 = v0[i, j], v1[i, j]
         t = v0 / (v0 - v1)
-        pts[key] = (x0 + t * (x1 - x0), y0 + t * (y1 - y0))
+        x0, x1, y0, y1 = xs[i], xs[i + di], ys[j], ys[j + dj]
+        pts += zip((x0 + t * (x1 - x0)).tolist(), (y0 + t * (y1 - y0)).tolist())
 
-    for i in range(resolution + 1):
-        for j in range(resolution):
-            edge(F[i, j], F[i, j + 1], xs[i], ys[j], xs[i], ys[j + 1], ("v", i, j))
-    for i in range(resolution):
-        for j in range(resolution + 1):
-            edge(F[i, j], F[i + 1, j], xs[i], ys[j], xs[i + 1], ys[j], ("h", i, j))
-
-    out = []
-    for x, y in pts.values():
-        if math.hypot(x - cx, y - cy) <= 1e-6:
-            continue
-        out.append((x, y))
-    out.sort()
+    out = sorted((x, y) for x, y in pts if not math.hypot(x - cx, y - cy) <= 1e-6)
     return [PlanePoint(x, y) for x, y in out]
 
 

@@ -8,7 +8,7 @@ metric correction. The engine is generic over the objective so the
 polynomial toy problem can reuse it with analytic derivatives.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -16,7 +16,6 @@ from .atlas import chart_gradient, chart_hessian, chart_loss, refined_minimum
 from .errors import (
     BadDirection,
     InsufficientSamples,
-    InvalidPartition,
     NoConvergence,
     TangencyLabError,
 )
@@ -28,10 +27,6 @@ from .symmetry import (
     project,
     transfer,
 )
-
-#: termination tags an arc can carry
-TERMINATIONS = ("SingularJacobian", "NewtonDiverged", "ReachedRmax", "StepStalled")
-
 
 @dataclass(frozen=True)
 class TraceConfig:
@@ -308,16 +303,6 @@ def sphere_extremize(chart, center, r, mode="min", n_starts=8, seed=0):
     return best_xi, float(best_val)
 
 
-def _ambient_split(ambient):
-    """Number of trailing singleton blocks in an (m, 1, ..., 1) ambient."""
-    if isinstance(ambient, YoungPartitionGroup):
-        blocks = ambient.blocks
-        if any(b != 1 for b in blocks[1:]):
-            raise InvalidPartition("ambients must have shape (m, 1, ..., 1)")
-        return len(blocks) - 1
-    return int(ambient)
-
-
 def minimal_eig_directions(chart, H, cluster_tol=1e-5):
     """Canonical unit directions spanning the minimal eigenvalue cluster.
 
@@ -388,8 +373,8 @@ def minimal_eig_directions(chart, H, cluster_tol=1e-5):
 def arc_radius_table(families, ambients, ds, cfg=None, refine=None, keep_arcs=False):
     """Terminal radii of minimal-eigenvalue arcs over a (family, ambient, d) grid.
 
-    `ambients` are (m, 1, ..., 1) partition groups or plain integers
-    counting the singleton blocks. Every canonical direction of the
+    Each ambient is an integer k naming the (d-k, 1^k) chart, i.e. the
+    number of singleton blocks. Every canonical direction of the
     minimal eigenvalue cluster is traced with both signs; the cell
     reports the smallest finite terminal radius, or 'inf' when every run
     reaches r_max. Per-cell failures are recorded as 'error:<name>'
@@ -402,10 +387,9 @@ def arc_radius_table(families, ambients, ds, cfg=None, refine=None, keep_arcs=Fa
     cfg = cfg or TraceConfig()
     refine = refine or refined_minimum
 
-    ks = [_ambient_split(a) for a in ambients]
     table = {}
     for d in ds:
-        for k in ks:
+        for k in ambients:
             chart = build_chart(d, YoungPartitionGroup((d - k,) + (1,) * k))
             for family in families:
                 cell = {}
@@ -468,14 +452,7 @@ def arc_to_json(arc, cfg=None):
         "terminal_radius": arc.terminal_radius,
     }
     if cfg is not None:
-        obj["config"] = {
-            "delta_r": cfg.delta_r,
-            "r_min": cfg.r_min,
-            "r_max": cfg.r_max,
-            "newton_tol": cfg.newton_tol,
-            "max_newton_iters": cfg.max_newton_iters,
-            "cond_threshold": cfg.cond_threshold,
-        }
+        obj["config"] = asdict(cfg)
     return obj
 
 

@@ -8,7 +8,6 @@ from tangency_lab.atlas import (
     FAMILIES,
     MIN_D,
     PuiseuxApprox,
-    classify_type,
     eval_series,
     predicted_loss,
     refine_critical,
@@ -88,8 +87,8 @@ def test_loss_value_matches_direct_evaluation():
 def test_classify_type_agrees_with_family_tag():
     for fam in FAMILIES:
         rec = refined(fam, 10)
-        assert classify_type(rec) == fam[2:]
         assert rec.type_label == fam[2:]
+        assert rec.family == fam
 
 
 def test_type_i_loss_prediction_error_scales_like_inverse_d():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -6,6 +7,8 @@ import sys
 import pytest
 
 import tangency_lab
+from tangency_lab import cli
+from tangency_lab.tracer import TraceConfig
 
 # the directory holding the package this suite imported; the child gets it
 # first on its path, so it runs the same copy from any working directory,
@@ -36,6 +39,10 @@ def run_cli(args, cwd, env_extra=None, timeout=600):
     ["toy", "--resolution", "32"],
     ["toy", "--center", "nonsense"],
     ["arcs", "--family", "C0I", "--d", "7", "--k", "0"],
+    ["sphere", "--n-starts", "3"],
+    ["toy", "--center", "nan:0"],
+    ["toy", "--extent=-inf:inf"],
+    ["arcs", "--family", "C0I", "--d", "7", "--k", "1", "--jobs", "-1"],
 ])
 def test_bad_configuration_exits_2(tmp_path, args):
     res = run_cli(args + ["--out", "o"], tmp_path)
@@ -98,7 +105,7 @@ def test_minima_reports_and_rerun(tmp_path):
 
 
 def test_spectrum_json_and_csv(tmp_path):
-    res = run_cli(["spectrum", "--family", "C0I,C0II", "--d", "7", "--brute",
+    res = run_cli(["spectrum", "--family", "C0I,C0II,C1I", "--d", "7", "--brute",
                    "--out", "o"], tmp_path)
     assert res.returncode == 0, res.stderr
     out = tmp_path / "o"
@@ -110,9 +117,25 @@ def test_spectrum_json_and_csv(tmp_path):
     assert rep["brute_max_absdiff"] <= 1e-6
     csv_lines = (out / "spectrum_table_d7.csv").read_text().splitlines()
     assert csv_lines[0].startswith("# config: ")
-    assert csv_lines[1].split(",")[:2] == ["component", "slot"]
-    # slot depth for the unsplit families: two t, three s, one x, one y
-    assert len(csv_lines) == 2 + 2 + 3 + 1 + 1
+    header = csv_lines[1].split(",")
+    rows = [line.split(",") for line in csv_lines[2:]]
+    assert header[:2] == ["component", "slot"]
+    # the split family C1I sets the depth: five t, five s, one x, one y;
+    # the unsplit families leave their deeper slots blank
+    assert [r[:2] for r in rows] == (
+        [["t", str(k)] for k in range(1, 6)] + [["s", str(k)] for k in range(1, 6)]
+        + [["x", "1"], ["y", "1"]])
+    unsplit = ["1", "1", "", "", "", "6", "6", "6", "", "", "15", "14"]
+    mults = {"C0I": unsplit, "C0II": unsplit, "C1I": ["1"] * 5 + ["5"] * 5 + ["10", "9"]}
+    for fam, want in mults.items():
+        col = header.index(fam)
+        assert header[col + 1:col + 4] == [fam + "_mult", fam + "_absdiff", fam + "_brute"]
+        assert [r[col + 1] for r in rows] == want
+        entries = json.loads((out / f"spectrum_{fam}_d7.json").read_text())["entries"]
+        filled = [r for r in rows if r[col + 1]]
+        assert [float(r[col]) for r in filled] == [e["eigenvalue"] for e in entries]
+        assert [float(r[col + 2]) for r in filled] == [e["absdiff"] for e in entries]
+        assert all(r[col] == r[col + 2] == "" for r in rows if not r[col + 1])
 
 
 # ----------------------------------------------------------------- arcs
@@ -142,6 +165,39 @@ def test_arcs_single_cell_and_seed_independence(tmp_path):
     a = (tmp_path / "a" / "arcs_table.csv").read_text().splitlines()[1:]
     b = (tmp_path / "b" / "arcs_table.csv").read_text().splitlines()[1:]
     assert a == b
+
+
+def test_arcs_pool_is_no_larger_than_the_cell_count(tmp_path, monkeypatch):
+    # a stand-in executor records its size and maps in-process, so no
+    # worker is ever forked
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.delenv("TANGENCY_LAB_OUT", raising=False)
+    base = ["arcs", "--d", "7", "--k", "2", "--delta-r", "0.05",
+            "--max-newton-iters", "30", "--jobs", "64"]
+    assert cli.main(base + ["--family", "C0I,C1II", "--out", str(tmp_path / "a")]) == 0
+    assert sizes == [2]
+    assert cli.main(base + ["--family", "C1II", "--out", str(tmp_path / "b")]) == 0
+    assert sizes == [2]
+    runs = json.loads((tmp_path / "a" / "arcs_runs.json").read_text())
+    assert runs["config"]["trace"] == dataclasses.asdict(
+        TraceConfig(delta_r=0.05, max_newton_iters=30))
+    table = (tmp_path / "a" / "arcs_table.csv").read_text().splitlines()
+    assert table[1:] == ["d,k,C0I,C1II", "7,2,0.62,0.31"]
 
 
 # ---------------------------------------------------------------- sphere

@@ -8,16 +8,10 @@ from tangency_lab import kernel
 from tangency_lab.atlas import FAMILIES, refine_critical, refined_minimum, seed_minimum
 from tangency_lab.errors import TooLarge
 from tangency_lab.spectrum import (
-    FAMILY_ORDER,
     brute_spectrum,
     expand_report,
     full_spectrum,
     predicted_spectrum,
-    report_from_json,
-    report_to_json,
-    reports_to_csv,
-    x_eigenvalue,
-    y_eigenvalue,
 )
 from tangency_lab.symmetry import embed, representative
 
@@ -97,21 +91,26 @@ def test_all_families_are_local_minima(records):
         assert flat[0] > 0, (fam, d)
 
 
+def _single(rep, label):
+    (ev,) = [ev for ev, _, lab in rep.entries if lab == label]
+    return ev
+
+
 def test_near_degenerate_pair_for_identity_family(records):
     # the lowest standard and skew eigenvalues coincide analytically at
     # (pi - 2) / (4 pi); with the exact Hessian only rounding splits them
-    rec = records[("C0II", 7)]
+    rep = full_spectrum(records[("C0II", 7)])
     exact = (np.pi - 2) / (4 * np.pi)
-    assert abs(x_eigenvalue(rec) - exact) <= 1e-12
-    rep = full_spectrum(rec)
+    x = _single(rep, "x")
+    assert abs(x - exact) <= 1e-12
     s_low = min(ev for ev, _, lab in rep.entries if lab == "s")
     assert abs(s_low - exact) <= 1e-12
-    assert abs(s_low - x_eigenvalue(rec)) <= 1e-12
+    assert abs(s_low - x) <= 1e-12
 
 
 def test_skew_and_hollow_eigenvalues_are_rayleigh_consistent(records):
-    rec = records[("C0I", 7)]
-    assert 0 < x_eigenvalue(rec) < y_eigenvalue(rec)
+    rep = full_spectrum(records[("C0I", 7)])
+    assert 0 < _single(rep, "x") < _single(rep, "y")
 
 
 def test_prediction_layout_matches_computation():
@@ -143,25 +142,6 @@ def test_predictions_at_d20_within_quarter():
         pred = predicted_spectrum(fam, 20)
         for (ev, _, lab), (pv, _, _) in zip(rep.entries, pred.entries):
             assert abs(ev - pv) <= 0.25, (fam, lab, ev, pv)
-
-
-def test_report_json_roundtrip(records):
-    rep = full_spectrum(records[("C1II", 7)])
-    again = report_from_json(report_to_json(rep))
-    assert again == rep
-
-
-def test_reports_to_csv_layout(records):
-    reports = {fam: full_spectrum(records[(fam, 7)]) for fam in FAMILIES}
-    text = reports_to_csv(reports)
-    lines = text.strip().splitlines()
-    header = lines[0].split(",")
-    assert header[:2] == ["component", "slot"]
-    for fam in FAMILY_ORDER:
-        assert fam in header and fam + "_mult" in header
-    # depth: five t slots (split families), five s, one x, one y
-    assert len(lines) == 1 + 5 + 5 + 1 + 1
-    assert lines[1].startswith("t,1")
 
 
 def test_brute_spectrum_rejects_large_matrices():

@@ -18,6 +18,7 @@ from tangency_lab.toy import (
     tangency_residual,
     trace_from,
 )
+from tangency_lab.toy import _grid_residual
 from tangency_lab.tracer import TraceConfig
 
 A = math.sqrt(2.0 / 3.0)
@@ -129,6 +130,33 @@ def test_sampled_set_is_equivariant():
         q = S @ np.array([p.x, p.y])
         worst = max(worst, float(np.min(np.hypot(*(B - q).T))))
     assert worst <= 2.0 * cell
+
+
+def _loop_tangency_set(c, resolution, extent):
+    """Reference sampler: one Python call per grid edge, same float operations."""
+    xs = np.linspace(extent[0], extent[1], resolution + 1)
+    F = _grid_residual(c, xs, xs)
+    pts = []
+    for di, dj in ((0, 1), (1, 0)):
+        for i in range(resolution + 1 - di):
+            for j in range(resolution + 1 - dj):
+                v0, v1 = F[i, j], F[i + di, j + dj]
+                if (v0 == 0.0 and v1 == 0.0) or v0 * v1 > 0.0:
+                    continue
+                t = v0 / (v0 - v1)
+                x0, x1, y0, y1 = xs[i], xs[i + di], xs[j], xs[j + dj]
+                pts.append((x0 + t * (x1 - x0), y0 + t * (y1 - y0)))
+    return sorted((x, y) for x, y in pts if math.hypot(x - c[0], y - c[1]) > 1e-6)
+
+
+@pytest.mark.parametrize("c, resolution, extent", [
+    ((0.0, 0.0), 64, (-2.0, 2.0)),  # both axes are zero rows of the grid
+    ((1.0, 0.0), 96, (-2.0, 2.0)),
+    ((0.3, -0.7), 65, (-3.0, 1.5)),
+])
+def test_sampled_set_matches_edge_loop(c, resolution, extent):
+    got = sample_tangency_set(c, resolution=resolution, extent=extent)
+    assert [(p.x, p.y) for p in got] == _loop_tangency_set(c, resolution, extent)
 
 
 def test_sample_validation():
