@@ -1,0 +1,81 @@
+"""Count the Newton work of one arcs cell: solves, derivative evaluations and SVDs.
+
+    PYTHONPATH=src python scripts/newton_counts.py --family C0II --d 100 --k 3
+
+runs `arc_radius_table` on one (family, k, d) cell and prints one JSON
+object: the cell's runs (termination tag and radius), the number of
+`tracer._newton_solve` calls, and inside those solves the calls of
+the chart gradient alone, the chart Hessians or combined
+gradient-Hessian evaluations, the gradients evaluated by either, and
+the SVDs (`np.linalg.svd` or `np.linalg.cond`), plus the wall time.
+The counts do not depend on the machine. The wrappers are installed
+from outside the package, so the script counts any version of
+`tangency_lab` that is first on the path, one that predates
+`chart_gradient_hessian` included.
+"""
+
+import argparse
+import json
+import time
+
+import numpy as np
+
+from tangency_lab import atlas, tracer
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--family", default="C1I")
+    ap.add_argument("--d", type=int, default=7)
+    ap.add_argument("--k", type=int, default=1)
+    ap.add_argument("--delta-r", dest="delta_r", type=float, default=1e-3)
+    args = ap.parse_args()
+
+    counts = {"newton_solves": 0, "gradient_calls": 0, "hessian_or_combined_calls": 0,
+              "gradients_evaluated": 0, "svds": 0}
+    inside = [0]
+
+    def counted(fn, *keys):
+        def wrapper(*a, **kw):
+            if inside[0]:
+                for key in keys:
+                    counts[key] += 1
+            return fn(*a, **kw)
+        return wrapper
+
+    def solve(*a, **kw):
+        counts["newton_solves"] += 1
+        inside[0] += 1
+        try:
+            return newton_solve(*a, **kw)
+        finally:
+            inside[0] -= 1
+
+    newton_solve = tracer._newton_solve
+    tracer._newton_solve = solve
+    atlas.orbit_gradient = counted(atlas.orbit_gradient, "gradient_calls", "gradients_evaluated")
+    atlas.orbit_hessian = counted(atlas.orbit_hessian, "hessian_or_combined_calls")
+    if hasattr(atlas, "orbit_gradient_hessian"):
+        atlas.orbit_gradient_hessian = counted(
+            atlas.orbit_gradient_hessian, "hessian_or_combined_calls", "gradients_evaluated")
+    np.linalg.svd = counted(np.linalg.svd, "svds")
+    np.linalg.cond = counted(np.linalg.cond, "svds")
+
+    # refine the center before the clock starts, as the memoized CLI does
+    atlas.refined_minimum(args.family, args.d)
+    cfg = tracer.TraceConfig(delta_r=args.delta_r)
+    t0 = time.perf_counter()
+    table = tracer.arc_radius_table((args.family,), (args.k,), (args.d,), cfg)
+    wall = time.perf_counter() - t0
+    cell = table[(args.family, args.k, args.d)]
+    print(json.dumps({
+        "cell": {"family": args.family, "k": args.k, "d": args.d, "delta_r": args.delta_r},
+        "value": cell["value"],
+        "runs": [list(run) for run in cell["runs"]],
+        **counts,
+        "wall_s": round(wall, 3),
+    }, indent=1))
+
+
+if __name__ == "__main__":
+    main()

@@ -26,7 +26,7 @@ from .errors import (
     TangencyLabError,
     UnsupportedFamily,
 )
-from .kernel import orbit_gradient, orbit_hessian, orbit_loss
+from .kernel import orbit_gradient, orbit_gradient_hessian, orbit_hessian, orbit_loss
 from .symmetry import (
     FixedPointChart,
     YoungPartitionGroup,
@@ -141,6 +141,11 @@ def chart_gradient(chart, xi):
 def chart_hessian(chart, xi):
     """Exact Hessian of the restricted loss, from one batched evaluation over the chart basis."""
     return orbit_hessian(chart.layout, xi)
+
+
+def chart_gradient_hessian(chart, xi):
+    """`chart_gradient` and `chart_hessian` at one point, from one orbit evaluation."""
+    return orbit_gradient_hessian(chart.layout, xi)
 
 
 def refine_critical(chart, xi0, tol=1e-11, max_iter=50):

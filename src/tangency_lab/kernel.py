@@ -10,7 +10,8 @@ and k = phi/2 equals E[relu(<w,x>) relu(<v,x>)].  This module evaluates the
 loss, its analytic gradient, and exact Hessian-vector products on d x d
 matrices, and the same formulas on fixed-point charts from one
 representative row per block (`orbit_loss`, `orbit_gradient`,
-`orbit_hessian`).
+`orbit_hessian`, and `orbit_gradient_hessian` for both derivatives at one
+point).
 """
 
 import numpy as np
@@ -292,33 +293,49 @@ def orbit_loss(layout, xi):
     return 0.5 * (s_ww - 2.0 * s_wt + s_tt)
 
 
+def _orbit_gradient(layout, WC, UR, nC, theta_ww, theta_wt):
+    """Chart gradient from the orbit terms and the unit representative rows UR.
+
+    Also returns the terms the Hessian shares: both sine arrays, a - b
+    and the weighted pi - t of the student angles.
+    """
+    w = layout.weights
+    sin_ww = np.sin(theta_ww)
+    sin_wt = np.sin(theta_wt)
+    a_minus_b = (sin_ww * nC) @ w - sin_wt @ w
+    pi_ww = (np.pi - theta_ww) * w
+    G = a_minus_b[:, None] * UR + pi_ww @ WC - (np.pi - theta_wt)
+    g = layout.sqrt_sizes * G[layout.out_row, layout.out_col] / (2.0 * np.pi)
+    return g, sin_ww, sin_wt, a_minus_b, pi_ww
+
+
 def orbit_gradient(layout, xi):
     """Chart gradient: sqrt(|o|) times `grad_loss` at one entry of each orbit o."""
     WC, WR, n, nC, theta_ww, theta_wt = _orbit_terms(layout, xi, True)
-    w = layout.weights
-    a_minus_b = (np.sin(theta_ww) * nC) @ w - np.sin(theta_wt) @ w
-    G = a_minus_b[:, None] * (WR / n[:, None]) + ((np.pi - theta_ww) * w) @ WC - (np.pi - theta_wt)
-    return layout.sqrt_sizes * G[layout.out_row, layout.out_col] / (2.0 * np.pi)
+    return _orbit_gradient(layout, WC, WR / n[:, None], nC, theta_ww, theta_wt)[0]
 
 
-def orbit_hessian(layout, xi):
-    """Exact chart Hessian: `hvp` along the whole stack of chart basis directions.
+def orbit_gradient_hessian(layout, xi):
+    """Chart gradient and exact chart Hessian from one evaluation of the orbit terms.
 
-    Entry (o, o') is sqrt(|o|) times H[B_o'] at one entry of orbit o, H[B_o']
-    being fixed like B_o'. The result is symmetrized.
+    The gradient is that of `orbit_gradient`, bit for bit. Hessian entry
+    (o, o') is sqrt(|o|) times H[B_o'] at one entry of orbit o, H[B_o']
+    being `hvp` along chart basis direction B_o' (fixed like B_o'); the
+    whole stack of basis directions is processed at once and the result
+    is symmetrized.
     """
     WC, WR, n, nC, theta_ww, theta_wt = _orbit_terms(layout, xi, True)
     w = layout.weights
     R = layout.row_reps
     UC = WC / nC[:, None]
     UR = UC[R]
-    sin_ww = np.sin(theta_ww)
+    g, sin_ww, sin_wt, a_minus_b, pi_ww = _orbit_gradient(layout, WC, UR, nC, theta_ww, theta_wt)
+
     inv_ww = _inverse_sine(sin_ww)
     cot_n_ww = np.cos(theta_ww) * inv_ww * nC
-    sin_wt = np.sin(theta_wt)
     inv_wt = _inverse_sine(sin_wt)
     cot_wt = np.cos(theta_wt) * inv_wt
-    du_coef = ((sin_ww * nC) @ w - sin_wt @ w)[:, None] - inv_wt
+    du_coef = a_minus_b[:, None] - inv_wt
 
     V = layout.directions  # (k, m, m)
     dn = (V[:, R] * UR) @ w  # n' of each block, (k, q)
@@ -328,7 +345,12 @@ def orbit_hessian(layout, xi):
     mt = ((dUR * w) @ UC.T + (UR * w) @ dUC.transpose(0, 2, 1))[:, :, layout.twin]  # -t' sin t
     coef = ((dnC * w) @ sin_ww.T - np.sum(mt * (cot_n_ww * w), axis=2)
             + np.sum(dUR * (cot_wt * w), axis=2))
-    HR = ((mt * (inv_ww * w)) @ WC + ((np.pi - theta_ww) * w) @ V
+    HR = ((mt * (inv_ww * w)) @ WC + pi_ww @ V
           + coef[:, :, None] * UR + dUR * du_coef) / (2.0 * np.pi)
     H = layout.sqrt_sizes[:, None] * HR[:, layout.out_row, layout.out_col].T
-    return 0.5 * (H + H.T)
+    return g, 0.5 * (H + H.T)
+
+
+def orbit_hessian(layout, xi):
+    """Exact chart Hessian: the second value of `orbit_gradient_hessian`."""
+    return orbit_gradient_hessian(layout, xi)[1]

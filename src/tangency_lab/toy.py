@@ -174,7 +174,7 @@ def trace_from(center, direction, cfg=None):
     v = v / np.linalg.norm(v)
     rayleigh = float(v @ hess_h(c) @ v)
     samples, termination, terminal = continue_arc(
-        lambda p: grad_h(p), lambda p: hess_h(p), c, v, rayleigh, cfg
+        grad_h, lambda p: (grad_h(p), hess_h(p)), c, v, rayleigh, cfg
     )
     return samples, termination, terminal
 

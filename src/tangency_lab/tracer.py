@@ -12,7 +12,13 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .atlas import chart_gradient, chart_hessian, chart_loss, refined_minimum
+from .atlas import (
+    chart_gradient,
+    chart_gradient_hessian,
+    chart_hessian,
+    chart_loss,
+    refined_minimum,
+)
 from .errors import (
     BadDirection,
     InsufficientSamples,
@@ -51,38 +57,63 @@ class ArcRecord:
     terminal_radius: float
 
 
-def _newton_solve(grad_fn, hess_fn, center, xi, lam, r, cfg):
+def _newton_solve(grad_fn, grad_hess_fn, center, xi, lam, r, cfg):
     """Solve [grad - 2*lam*u; |u|^2 - r^2] = 0 from the given guess.
 
-    The Hessian is evaluated once at the initial guess and kept for the
-    whole solve; borders and the multiplier shift are rebuilt each
-    iterate. Residuals use the exact gradient, so the acceptance test is
-    unaffected by the frozen second-order term.
+    A chord iteration: `grad_hess_fn` gives the gradient and the Hessian
+    at the initial guess, and that Hessian is kept for the whole solve;
+    borders and the multiplier shift are rebuilt each iterate. Later
+    residuals use the exact gradient from `grad_fn`, so the acceptance
+    test is unaffected by the frozen second-order term.
+
+    cfg.max_newton_iters (`--max-newton-iters`) stays the budget of
+    iterates. A solve stops early as 'diverged' once its residual has
+    risen five times in a row and lies above its starting residual, so a
+    chord iteration running away from its guess costs six gradient
+    evaluations instead of the whole budget. A rise that stays below the
+    starting residual runs on: chord iterations that rise for a while and
+    then converge do occur.
 
     Returns (xi, lam, 'ok') or (None, None, reason) with reason one of
     'singular', 'diverged'.
     """
     n = center.size
     try:
-        H = hess_fn(xi)
+        g, H = grad_hess_fn(xi)
     except TangencyLabError:
         return None, None, "diverged"
-    for _ in range(cfg.max_newton_iters):
+    eye = np.eye(n)
+    J = np.zeros((n + 1, n + 1))
+    F = np.empty(n + 1)
+    rises = 0
+    for it in range(cfg.max_newton_iters):
         u = xi - center
-        try:
-            g = grad_fn(xi)
-        except TangencyLabError:
-            return None, None, "diverged"
-        F = np.concatenate([g - 2.0 * lam * u, [u @ u - r * r]])
+        if it:
+            try:
+                g = grad_fn(xi)
+            except TangencyLabError:
+                return None, None, "diverged"
+        F[:n] = g - 2.0 * lam * u
+        F[n] = u @ u - r * r
         if not np.all(np.isfinite(F)):
             return None, None, "diverged"
-        if np.linalg.norm(F) <= cfg.newton_tol:
+        res = np.linalg.norm(F)
+        if res <= cfg.newton_tol:
             return xi, lam, "ok"
-        J = np.zeros((n + 1, n + 1))
-        J[:n, :n] = H - 2.0 * lam * np.eye(n)
+        if it == 0:
+            res0 = res
+        else:
+            rises = rises + 1 if res > res_prev else 0
+            if rises >= 5 and res > res0:
+                return None, None, "diverged"
+        res_prev = res
+        np.subtract(H, 2.0 * lam * eye, out=J[:n, :n])
         J[:n, n] = -2.0 * u
         J[n, :n] = 2.0 * u
-        if np.linalg.cond(J) >= cfg.cond_threshold:
+        # the 2-norm condition number, as np.linalg.cond computes it; a
+        # zero singular value is an infinite condition number
+        sv = np.linalg.svd(J, compute_uv=False)
+        if sv[-1] == 0.0 or sv[0] / sv[-1] >= cfg.cond_threshold:
             return None, None, "singular"
         try:
             step = np.linalg.solve(J, -F)
@@ -98,12 +129,17 @@ def _newton_solve(grad_fn, hess_fn, center, xi, lam, r, cfg):
 _FAIL_TAG = {"singular": "SingularJacobian", "diverged": "NewtonDiverged"}
 
 
-def continue_arc(grad_fn, hess_fn, center, direction, rayleigh, cfg):
+def continue_arc(grad_fn, grad_hess_fn, center, direction, rayleigh, cfg):
     """Generic Lagrangian continuation from center along a unit direction.
 
-    grad_fn and hess_fn evaluate the objective's derivatives in the same
-    coordinates as `center`. Stepping is by cfg.delta_r with halving on
-    Newton failure; three consecutive samples needing steps below 1e-6
+    grad_fn evaluates the objective's gradient and grad_hess_fn its
+    gradient and Hessian together, in the same coordinates as `center`.
+    Each radius is one chord solve of `_newton_solve`: one grad_hess_fn
+    call at the radial guess, then one grad_fn call per iterate, within
+    the budget of cfg.max_newton_iters (`--max-newton-iters`) iterates; a
+    solve whose residual runs away from its start fails early as
+    'diverged'. Stepping is by cfg.delta_r with halving on Newton
+    failure; three consecutive samples needing steps below 1e-6
     terminate the arc as StepStalled.
 
     Two degeneracies end an arc before r_max. A fold (no solution beyond
@@ -119,9 +155,9 @@ def continue_arc(grad_fn, hess_fn, center, direction, rayleigh, cfg):
 
     def solve_at(r, base_r, base_xi, base_lam):
         guess = center + (r / base_r) * (base_xi - center)
-        return _newton_solve(grad_fn, hess_fn, center, guess, base_lam, r, cfg)
+        return _newton_solve(grad_fn, grad_hess_fn, center, guess, base_lam, r, cfg)
 
-    xi, lam, status = _newton_solve(grad_fn, hess_fn, center, xi0, lam0, cfg.r_min, cfg)
+    xi, lam, status = _newton_solve(grad_fn, grad_hess_fn, center, xi0, lam0, cfg.r_min, cfg)
     if status != "ok":
         raise NoConvergence(f"no tangency solution at r_min ({status})")
     samples = [(cfg.r_min, xi.copy(), float(lam))]
@@ -198,7 +234,7 @@ def trace_arc(chart, center, direction, cfg=None):
 
     samples, termination, terminal = continue_arc(
         lambda xi: chart_gradient(chart, xi),
-        lambda xi: chart_hessian(chart, xi),
+        lambda xi: chart_gradient_hessian(chart, xi),
         center_xi,
         v,
         ray,
@@ -251,7 +287,7 @@ def sphere_extremize(chart, center, r, mode="min", n_starts=8, seed=0):
         dirs.append(v / np.linalg.norm(v))
 
     grad_fn = lambda x: chart_gradient(chart, x)
-    hess_fn = lambda x: chart_hessian(chart, x)
+    grad_hess_fn = lambda x: chart_gradient_hessian(chart, x)
     polish_cfg = TraceConfig()
 
     best_xi, best_val = None, None
@@ -287,7 +323,7 @@ def sphere_extremize(chart, center, r, mode="min", n_starts=8, seed=0):
         u = xi - center_xi
         g = chart_gradient(chart, xi)
         lam = (g @ u) / (2.0 * r * r)
-        sol_xi, _, status = _newton_solve(grad_fn, hess_fn, center_xi, xi, lam, r, polish_cfg)
+        sol_xi, _, status = _newton_solve(grad_fn, grad_hess_fn, center_xi, xi, lam, r, polish_cfg)
         if status != "ok":
             continue
         g = chart_gradient(chart, sol_xi)

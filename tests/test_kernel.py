@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tangency_lab.atlas import chart_gradient, chart_hessian, chart_loss
+from tangency_lab.atlas import chart_gradient, chart_gradient_hessian, chart_hessian, chart_loss
 from tangency_lab.errors import DegenerateVector, DimensionMismatch, NearParallelRows
 from tangency_lab.kernel import grad_loss, hvp, kernel_phi, loss
 from tangency_lab.symmetry import YoungPartitionGroup, build_chart, embed, project
@@ -221,11 +221,15 @@ def test_orbit_path_matches_dense_oracle(blocks):
         assert gap <= 1e-10 * max(1.0, np.max(np.abs(g)))
         gap = np.max(np.abs(chart_hessian(chart, xi) - H))
         assert gap <= 1e-10 * max(1.0, np.max(np.abs(H)))
+        # the combined evaluation returns both exactly
+        g2, H2 = chart_gradient_hessian(chart, xi)
+        assert np.array_equal(g2, chart_gradient(chart, xi))
+        assert np.array_equal(H2, chart_hessian(chart, xi))
 
 
 def test_orbit_path_raises_the_dense_error_types():
     chart = build_chart(7, YoungPartitionGroup((1, 1, 5)))
-    fns = (chart_loss, chart_gradient, chart_hessian)
+    fns = (chart_loss, chart_gradient, chart_hessian, chart_gradient_hessian)
     for fn in fns:
         with pytest.raises(DimensionMismatch):
             fn(chart, np.ones(chart.dim + 1))
@@ -241,7 +245,7 @@ def test_orbit_path_raises_the_dense_error_types():
         xi = project(chart, M)
         with pytest.raises(NearParallelRows):
             grad_loss(embed(chart, xi))
-        for fn in (chart_gradient, chart_hessian):
+        for fn in (chart_gradient, chart_hessian, chart_gradient_hessian):
             with pytest.raises(NearParallelRows):
                 fn(chart, xi)
         assert np.isfinite(chart_loss(chart, xi))

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from tangency_lab.symmetry import (
 from tangency_lab.tracer import (
     ArcRecord,
     TraceConfig,
+    _newton_solve,
     arc_from_json,
     arc_radius_table,
     arc_to_csv,
@@ -65,13 +67,13 @@ def test_continue_arc_on_quadratic_model():
     # on an eigenvector ray, the multiplier is the constant a_i / 2
     A = np.diag([0.5, 2.0, 5.0])
     grad_fn = lambda x: A @ x
-    hess_fn = lambda x: A
+    grad_hess_fn = lambda x: (A @ x, A)
     cfg = TraceConfig(delta_r=1e-2, r_max=1.0)
     for i in range(3):
         e = np.zeros(3)
         e[i] = 1.0
         samples, term, terminal = continue_arc(
-            grad_fn, hess_fn, np.zeros(3), e, float(A[i, i]), cfg)
+            grad_fn, grad_hess_fn, np.zeros(3), e, float(A[i, i]), cfg)
         assert term == "ReachedRmax"
         assert terminal == pytest.approx(1.0, abs=1e-12)
         radii = [r for r, _, _ in samples]
@@ -82,6 +84,71 @@ def test_continue_arc_on_quadratic_model():
             assert lam == pytest.approx(A[i, i] / 2, abs=1e-9)
             off = xi - (xi @ e) * e
             assert np.linalg.norm(off) <= 1e-8
+
+
+def _wavy_model(a, b):
+    """f(x) = x_2^2 / 2 - (a / b) cos(b x_2) on the plane, with a log of gradient calls.
+
+    f does not depend on x_1, so from lambda = 0 a chord solve on a circle
+    about the origin keeps lambda = 0 and runs the scalar chord iteration
+    x_2 <- x_2 - f'(x_2) / f''(x_2 at the start) on the tangential
+    coordinate.
+    """
+    calls = []
+
+    def grad(x):
+        calls.append(x.copy())
+        return np.array([0.0, x[1] + a * np.sin(b * x[1])])
+
+    def grad_hess(x):
+        return grad(x), np.diag([0.0, 1.0 + a * b * np.cos(b * x[1])])
+
+    def residual(x, r):
+        return np.hypot(x[1] + a * np.sin(b * x[1]), x @ x - r * r)
+
+    return grad, grad_hess, residual, calls
+
+
+def test_newton_solve_stops_a_runaway_chord_iteration():
+    # f'' = -1 at x_2 = 1/2 and f' = x_2 at every half-integer, so each
+    # chord step doubles x_2 and the residual climbs from the start
+    grad, grad_hess, _, calls = _wavy_model(1.0 / np.pi, 2.0 * np.pi)
+    xi = np.array([np.sqrt(100.0 ** 2 - 0.25), 0.5])
+    out = _newton_solve(grad, grad_hess, np.zeros(2), xi, 0.0, 100.0, TraceConfig())
+    assert out == (None, None, "diverged")
+    assert len(calls) <= 7
+
+
+def test_newton_solve_runs_through_a_rise_below_the_start():
+    # the residual rises five times in a row but stays below its start,
+    # and the chord iteration then converges
+    grad, grad_hess, residual, calls = _wavy_model(0.5, 2.0 * np.pi)
+    xi0 = np.array([np.sqrt(5.0), 2.0])
+    xi, lam, status = _newton_solve(grad, grad_hess, np.zeros(2), xi0, 0.0, 3.0, TraceConfig())
+    assert status == "ok"
+    res = [residual(x, 3.0) for x in calls]
+    rises = [b > a for a, b in zip(res, res[1:])]
+    assert any(all(rises[i:i + 5]) for i in range(len(rises) - 4))
+    assert max(res[1:]) < res[0]
+    assert np.linalg.norm(xi) == pytest.approx(3.0, abs=1e-10)
+    assert abs(xi[1] + 0.5 * np.sin(2.0 * np.pi * xi[1])) <= 1e-10
+
+
+def test_newton_solve_reports_an_exactly_singular_jacobian():
+    # a linear f has H = 0; with lambda = 0 and u = e_1 the bordered
+    # Jacobian has a zero row, so its smallest singular value is exactly 0
+    calls = []
+
+    def grad(x):
+        calls.append(x)
+        return np.array([0.0, 1.0])
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = _newton_solve(grad, lambda x: (grad(x), np.zeros((2, 2))), np.zeros(2),
+                            np.array([1.0, 0.0]), 0.0, 1.0, TraceConfig())
+    assert out == (None, None, "singular")
+    assert len(calls) == 1
 
 
 def test_trace_config_validation():
@@ -288,3 +355,13 @@ def test_arc_radius_table_single_cell(c0i_record):
     assert cell["radius"] == pytest.approx(0.62, abs=0.05)
     assert cell["arc"].terminal_radius == pytest.approx(cell["radius"], abs=1e-12)
     assert cell["runs"], "expected per-run provenance"
+
+
+def test_arc_radius_table_pins_the_newton_path():
+    # tags exact and radii to 1e-9: a change of predictor, corrector or
+    # step solve moves these radii by more than rounding
+    cell = arc_radius_table(("C1I",), (1,), (7,), TraceConfig(delta_r=0.004))[("C1I", 1, 7)]
+    tags = [tag for tag, _ in cell["runs"]]
+    radii = [radius for _, radius in cell["runs"]]
+    assert tags == ["StepStalled", "StepStalled"]
+    assert radii == pytest.approx([1.3699260033203136, 1.2432956627441412], abs=1e-9)
