@@ -8,10 +8,11 @@ object: the cell's runs (termination tag and radius), the number of
 the chart gradient alone, the chart Hessians or combined
 gradient-Hessian evaluations, the gradients evaluated by either, and
 the SVDs (`np.linalg.svd` or `np.linalg.cond`), plus the wall time.
-The counts do not depend on the machine. The wrappers are installed
-from outside the package, so the script counts any version of
-`tangency_lab` that is first on the path, one that predates
-`chart_gradient_hessian` included.
+The counts do not depend on the machine. The counters wrap the
+gradient and Hessian functions each solve is handed, from outside the
+package, so the script counts any version of `tangency_lab` that is
+first on the path, one whose second function returns the Hessian alone
+included.
 """
 
 import argparse
@@ -43,21 +44,25 @@ def main():
             return fn(*a, **kw)
         return wrapper
 
-    def solve(*a, **kw):
+    def counted_hess(fn):
+        def wrapper(xi):
+            counts["hessian_or_combined_calls"] += 1
+            out = fn(xi)
+            counts["gradients_evaluated"] += isinstance(out, tuple)
+            return out
+        return wrapper
+
+    def solve(grad_fn, hess_fn, *a, **kw):
         counts["newton_solves"] += 1
         inside[0] += 1
         try:
-            return newton_solve(*a, **kw)
+            return newton_solve(counted(grad_fn, "gradient_calls", "gradients_evaluated"),
+                                counted_hess(hess_fn), *a, **kw)
         finally:
             inside[0] -= 1
 
     newton_solve = tracer._newton_solve
     tracer._newton_solve = solve
-    atlas.orbit_gradient = counted(atlas.orbit_gradient, "gradient_calls", "gradients_evaluated")
-    atlas.orbit_hessian = counted(atlas.orbit_hessian, "hessian_or_combined_calls")
-    if hasattr(atlas, "orbit_gradient_hessian"):
-        atlas.orbit_gradient_hessian = counted(
-            atlas.orbit_gradient_hessian, "hessian_or_combined_calls", "gradients_evaluated")
     np.linalg.svd = counted(np.linalg.svd, "svds")
     np.linalg.cond = counted(np.linalg.cond, "svds")
 

@@ -26,7 +26,7 @@ from .errors import (
     TangencyLabError,
     UnsupportedFamily,
 )
-from .kernel import orbit_gradient, orbit_gradient_hessian, orbit_hessian, orbit_loss
+from .kernel import OrbitPoint
 from .symmetry import (
     FixedPointChart,
     YoungPartitionGroup,
@@ -128,46 +128,55 @@ def _type_label(chart, xi):
     return "I" if v < 0 else "II"
 
 
+def chart_point(chart, xi):
+    """The loss and its chart derivatives at chart coordinates xi, from one
+    evaluation of the orbit terms (a `kernel.OrbitPoint`)."""
+    return OrbitPoint(chart.layout, xi)
+
+
 def chart_loss(chart, xi):
     """Loss at the fixed matrix with chart coordinates xi, evaluated on the chart's orbits."""
-    return orbit_loss(chart.layout, xi)
+    return chart_point(chart, xi).loss()
 
 
 def chart_gradient(chart, xi):
     """Gradient of the loss restricted to the chart (orthonormal coordinates)."""
-    return orbit_gradient(chart.layout, xi)
+    return chart_point(chart, xi).gradient()
 
 
 def chart_hessian(chart, xi):
     """Exact Hessian of the restricted loss, from one batched evaluation over the chart basis."""
-    return orbit_hessian(chart.layout, xi)
+    return chart_point(chart, xi).gradient_hessian()[1]
 
 
 def chart_gradient_hessian(chart, xi):
     """`chart_gradient` and `chart_hessian` at one point, from one orbit evaluation."""
-    return orbit_gradient_hessian(chart.layout, xi)
+    return chart_point(chart, xi).gradient_hessian()
 
 
 def refine_critical(chart, xi0, tol=1e-11, max_iter=50):
     """Newton-polish a chart seed to a critical point of the restricted loss.
 
-    Each step solves with the exact chart Hessian. Raises NewtonDiverged
-    if the residual fails to decrease five times in a row or the
-    iteration budget runs out, SingularJacobian if the Hessian condition
-    number exceeds 1e14.
+    Each step solves with the exact chart Hessian; an iterate's gradient,
+    Hessian and, for the last one, loss come from one `chart_point`.
+    Raises NewtonDiverged if the residual fails to decrease five times in
+    a row or the iteration budget runs out, SingularJacobian if the
+    Hessian condition number exceeds 1e14.
     """
     xi = np.asarray(xi0, dtype=float).copy()
-    g = chart_gradient(chart, xi)
+    point = chart_point(chart, xi)
+    g = point.gradient()
     res = np.linalg.norm(g)
     stall = 0
     for _ in range(max_iter):
         if res <= tol:
             break
-        J = chart_hessian(chart, xi)
+        J = point.gradient_hessian()[1]
         if np.linalg.cond(J) > 1e14:
             raise SingularJacobian("chart Hessian is numerically singular")
         xi = xi + np.linalg.solve(J, -g)
-        g = chart_gradient(chart, xi)
+        point = chart_point(chart, xi)
+        g = point.gradient()
         new_res = np.linalg.norm(g)
         stall = stall + 1 if new_res >= res else 0
         res = new_res
@@ -185,7 +194,7 @@ def refine_critical(chart, xi0, tol=1e-11, max_iter=50):
         d=chart.d,
         chart=chart,
         xi=xi,
-        loss_value=chart_loss(chart, xi),
+        loss_value=point.loss(),
         grad_norm=float(res),
         type_label=type_label,
     )

@@ -9,9 +9,9 @@ Gaussian inputs the population loss is a finite sum of arccos-kernel terms,
 and k = phi/2 equals E[relu(<w,x>) relu(<v,x>)].  This module evaluates the
 loss, its analytic gradient, and exact Hessian-vector products on d x d
 matrices, and the same formulas on fixed-point charts from one
-representative row per block (`orbit_loss`, `orbit_gradient`,
-`orbit_hessian`, and `orbit_gradient_hessian` for both derivatives at one
-point).
+representative row per block (`OrbitPoint`, which serves the loss, the
+chart gradient and the chart Hessian at one point from one evaluation of
+the orbit terms).
 """
 
 import numpy as np
@@ -236,21 +236,21 @@ def hvp(W, V):
 # Orbit-reduced evaluation on fixed-point charts.
 #
 # A matrix fixed by a diagonal Young subgroup with q blocks takes O(q^2)
-# distinct values, and so do its row norms, Gram entries and angles. The
-# functions below evaluate the loss, the chart gradient and the exact
-# chart Hessian from chart coordinates on a `symmetry.OrbitLayout`:
-# every row sum runs over the q representative rows with their block
-# sizes as weights, every column sum over the m <= 3q representative
-# coordinates with their weights, so the cost does not grow with d. They
-# are the formulas of `loss`, `grad_loss` and `hvp` term by term, which
-# stay as the d x d oracle.
+# distinct values, and so do its row norms, Gram entries and angles. An
+# `OrbitPoint` evaluates the loss, the chart gradient and the exact chart
+# Hessian from chart coordinates on a `symmetry.OrbitLayout`: every row
+# sum runs over the q representative rows with their block sizes as
+# weights, every column sum over the m <= 3q representative coordinates
+# with their weights, so the cost does not grow with d. They are the
+# formulas of `loss`, `grad_loss` and `hvp` term by term, which stay as
+# the d x d oracle.
 
 
 def _g(theta):
     return np.sin(theta) + (np.pi - theta) * np.cos(theta)
 
 
-def _orbit_terms(layout, xi, check_antiparallel):
+def _orbit_terms(layout, xi):
     """Representative submatrix, row norms and both angle arrays at xi.
 
     Returns WC (m, m), WR (q, m) its representative rows, n (q,), nC (m,)
@@ -264,93 +264,113 @@ def _orbit_terms(layout, xi, check_antiparallel):
         )
     if not np.isfinite(xi).all():
         raise DegenerateVector("chart coordinates are not finite")
-    WC = (xi / layout.sqrt_sizes)[layout.cc_orbit]
-    WR = WC[layout.row_reps]
+    values = xi / layout.sqrt_sizes
+    WC = values[layout.cc_orbit]
+    WR = values[layout.row_orbit]
     n = np.sqrt((WR * WR) @ layout.weights)
-    if np.any(n <= EPS_NORM):
+    if n.min() <= EPS_NORM:
         raise DegenerateVector("a student row has norm <= 1e-12")
     nC = n[layout.block_of]
-    gram = ((WR * layout.weights) @ WC.T)[:, layout.twin]
     # minimum/maximum in place of np.clip: these arrays are tiny and
     # every call's fixed cost counts in the continuation loops
-    theta_ww = np.arccos(np.minimum(np.maximum(gram / (n[:, None] * nC), -1.0), 1.0))
-    theta_ww[np.arange(len(n)), layout.row_reps] = 0.0
-    theta_wt = np.arccos(np.minimum(np.maximum(WR / n[:, None], -1.0), 1.0))
-    if check_antiparallel and np.pi - max(theta_ww.max(), theta_wt.max()) < ANTIPARALLEL_TOL:
-        raise NearParallelRows("antiparallel row pair within 1e-9 of the singularity")
+    gram = ((WR * layout.weights) @ WC.T)[:, layout.twin]
+    cos = gram / (n[:, None] * nC)
+    theta_ww = np.arccos(np.minimum(np.maximum(cos, -1.0, out=cos), 1.0, out=cos))
+    theta_ww[layout.self_angle] = 0.0
+    cos = WR / n[:, None]
+    theta_wt = np.arccos(np.minimum(np.maximum(cos, -1.0, out=cos), 1.0, out=cos))
     return WC, WR, n, nC, theta_ww, theta_wt
 
 
-def orbit_loss(layout, xi):
-    """`loss` at the fixed matrix with chart coordinates xi."""
-    _, _, n, nC, theta_ww, theta_wt = _orbit_terms(layout, xi, False)
-    w = layout.weights
-    rows = n * layout.row_weights
-    s_ww = float(rows @ (_g(theta_ww) * nC) @ w) / (2.0 * np.pi)
-    s_wt = float(rows @ _g(theta_wt) @ w) / (2.0 * np.pi)
-    d = layout.d
-    s_tt = d / 2.0 + d * (d - 1) / (2.0 * np.pi)
-    return 0.5 * (s_ww - 2.0 * s_wt + s_tt)
+class OrbitPoint:
+    """The loss and its chart derivatives at one point of a chart.
 
-
-def _orbit_gradient(layout, WC, UR, nC, theta_ww, theta_wt):
-    """Chart gradient from the orbit terms and the unit representative rows UR.
-
-    Also returns the terms the Hessian shares: both sine arrays, a - b
-    and the weighted pi - t of the student angles.
+    Construction validates the chart coordinates xi (DimensionMismatch,
+    DegenerateVector) and computes the orbit terms once; `loss`,
+    `gradient` and `gradient_hessian` read them and keep what they
+    computed, so each is evaluated at most once per point and the
+    gradient-Hessian reuses the gradient. The derivatives raise
+    NearParallelRows at antiparallel rows, where the loss is still
+    defined.
     """
-    w = layout.weights
-    sin_ww = np.sin(theta_ww)
-    sin_wt = np.sin(theta_wt)
-    a_minus_b = (sin_ww * nC) @ w - sin_wt @ w
-    pi_ww = (np.pi - theta_ww) * w
-    G = a_minus_b[:, None] * UR + pi_ww @ WC - (np.pi - theta_wt)
-    g = layout.sqrt_sizes * G[layout.out_row, layout.out_col] / (2.0 * np.pi)
-    return g, sin_ww, sin_wt, a_minus_b, pi_ww
 
+    __slots__ = ("layout", "_terms", "_loss", "_grad", "_grad_hess")
 
-def orbit_gradient(layout, xi):
-    """Chart gradient: sqrt(|o|) times `grad_loss` at one entry of each orbit o."""
-    WC, WR, n, nC, theta_ww, theta_wt = _orbit_terms(layout, xi, True)
-    return _orbit_gradient(layout, WC, WR / n[:, None], nC, theta_ww, theta_wt)[0]
+    def __init__(self, layout, xi):
+        self.layout = layout
+        self._terms = _orbit_terms(layout, xi)
+        self._loss = self._grad = self._grad_hess = None
 
+    def loss(self):
+        """`loss` at the fixed matrix with these chart coordinates."""
+        if self._loss is None:
+            layout = self.layout
+            _, _, n, nC, theta_ww, theta_wt = self._terms
+            w = layout.weights
+            rows = n * layout.row_weights
+            s_ww = float(rows @ (_g(theta_ww) * nC) @ w) / (2.0 * np.pi)
+            s_wt = float(rows @ _g(theta_wt) @ w) / (2.0 * np.pi)
+            d = layout.d
+            s_tt = d / 2.0 + d * (d - 1) / (2.0 * np.pi)
+            self._loss = 0.5 * (s_ww - 2.0 * s_wt + s_tt)
+        return self._loss
 
-def orbit_gradient_hessian(layout, xi):
-    """Chart gradient and exact chart Hessian from one evaluation of the orbit terms.
+    def _gradient_terms(self):
+        """Chart gradient and the terms the Hessian shares with it: both
+        sine arrays, a - b and the weighted pi - t of the student angles."""
+        if self._grad is None:
+            layout = self.layout
+            WC, WR, n, nC, theta_ww, theta_wt = self._terms
+            # self angles are 0, so the largest angle comes from a distinct pair
+            if np.pi - max(theta_ww.max(), theta_wt.max()) < ANTIPARALLEL_TOL:
+                raise NearParallelRows("antiparallel row pair within 1e-9 of the singularity")
+            w = layout.weights
+            sin_ww = np.sin(theta_ww)
+            sin_wt = np.sin(theta_wt)
+            a_minus_b = (sin_ww * nC) @ w - sin_wt @ w
+            pi_ww = (np.pi - theta_ww) * w
+            G = a_minus_b[:, None] * (WR / n[:, None]) + pi_ww @ WC - (np.pi - theta_wt)
+            g = layout.sqrt_sizes * G[layout.out_row, layout.out_col] / (2.0 * np.pi)
+            self._grad = g, sin_ww, sin_wt, a_minus_b, pi_ww
+        return self._grad
 
-    The gradient is that of `orbit_gradient`, bit for bit. Hessian entry
-    (o, o') is sqrt(|o|) times H[B_o'] at one entry of orbit o, H[B_o']
-    being `hvp` along chart basis direction B_o' (fixed like B_o'); the
-    whole stack of basis directions is processed at once and the result
-    is symmetrized.
-    """
-    WC, WR, n, nC, theta_ww, theta_wt = _orbit_terms(layout, xi, True)
-    w = layout.weights
-    R = layout.row_reps
-    UC = WC / nC[:, None]
-    UR = UC[R]
-    g, sin_ww, sin_wt, a_minus_b, pi_ww = _orbit_gradient(layout, WC, UR, nC, theta_ww, theta_wt)
+    def gradient(self):
+        """Chart gradient: sqrt(|o|) times `grad_loss` at one entry of each orbit o."""
+        return self._gradient_terms()[0]
 
-    inv_ww = _inverse_sine(sin_ww)
-    cot_n_ww = np.cos(theta_ww) * inv_ww * nC
-    inv_wt = _inverse_sine(sin_wt)
-    cot_wt = np.cos(theta_wt) * inv_wt
-    du_coef = a_minus_b[:, None] - inv_wt
+    def gradient_hessian(self):
+        """Chart gradient and exact chart Hessian.
 
-    V = layout.directions  # (k, m, m)
-    dn = (V[:, R] * UR) @ w  # n' of each block, (k, q)
-    dnC = dn[:, layout.block_of]
-    dUC = (V - dnC[:, :, None] * UC) / nC[:, None]  # u'
-    dUR = dUC[:, R]
-    mt = ((dUR * w) @ UC.T + (UR * w) @ dUC.transpose(0, 2, 1))[:, :, layout.twin]  # -t' sin t
-    coef = ((dnC * w) @ sin_ww.T - np.sum(mt * (cot_n_ww * w), axis=2)
-            + np.sum(dUR * (cot_wt * w), axis=2))
-    HR = ((mt * (inv_ww * w)) @ WC + pi_ww @ V
-          + coef[:, :, None] * UR + dUR * du_coef) / (2.0 * np.pi)
-    H = layout.sqrt_sizes[:, None] * HR[:, layout.out_row, layout.out_col].T
-    return g, 0.5 * (H + H.T)
+        Hessian entry (o, o') is sqrt(|o|) times H[B_o'] at one entry of
+        orbit o, H[B_o'] being `hvp` along chart basis direction B_o'
+        (fixed like B_o'); the whole stack of basis directions is
+        processed at once and the result is symmetrized.
+        """
+        if self._grad_hess is None:
+            g, sin_ww, sin_wt, a_minus_b, pi_ww = self._gradient_terms()
+            layout = self.layout
+            WC, _, _, nC, theta_ww, theta_wt = self._terms
+            w = layout.weights
+            R = layout.row_reps
+            UC = WC / nC[:, None]
+            UR = UC[R]
 
+            inv_ww = _inverse_sine(sin_ww)
+            cot_n_ww = np.cos(theta_ww) * inv_ww * nC
+            inv_wt = _inverse_sine(sin_wt)
+            cot_wt = np.cos(theta_wt) * inv_wt
+            du_coef = a_minus_b[:, None] - inv_wt
 
-def orbit_hessian(layout, xi):
-    """Exact chart Hessian: the second value of `orbit_gradient_hessian`."""
-    return orbit_gradient_hessian(layout, xi)[1]
+            V = layout.directions  # (k, m, m)
+            dn = (V[:, R] * UR) @ w  # n' of each block, (k, q)
+            dnC = dn[:, layout.block_of]
+            dUC = (V - dnC[:, :, None] * UC) / nC[:, None]  # u'
+            dUR = dUC[:, R]
+            mt = ((dUR * w) @ UC.T + (UR * w) @ dUC.transpose(0, 2, 1))[:, :, layout.twin]  # -t' sin t
+            coef = ((dnC * w) @ sin_ww.T - np.sum(mt * (cot_n_ww * w), axis=2)
+                    + np.sum(dUR * (cot_wt * w), axis=2))
+            HR = ((mt * (inv_ww * w)) @ WC + pi_ww @ V
+                  + coef[:, :, None] * UR + dUR * du_coef) / (2.0 * np.pi)
+            H = layout.sqrt_sizes[:, None] * HR[:, layout.out_row, layout.out_col].T
+            self._grad_hess = g, 0.5 * (H + H.T)
+        return self._grad_hess

@@ -73,8 +73,10 @@ class OrbitLayout:
     weights: np.ndarray  # (m,) coordinates each representative stands for
     block_of: np.ndarray  # (m,) block of each representative
     row_reps: np.ndarray  # (q,) position of each block's first coordinate
+    self_angle: tuple  # index of the q self angles in a (q, m) angle array
     twin: np.ndarray  # (m,) representative whose Gram entries each one copies
     cc_orbit: np.ndarray  # (m, m) orbit of each representative entry
+    row_orbit: np.ndarray  # (q, m) the representative rows of cc_orbit
     directions: np.ndarray  # (n, m, m) the chart basis on the representatives
     out_row: np.ndarray  # (n,) block of each orbit's representative entry
     out_col: np.ndarray  # (n,) position of that entry's column
@@ -183,16 +185,19 @@ def _build_chart(d, blocks):
     cc_orbit = _orbit_index(blocks, table, coords[:, None], coords[None, :])
     sizes = np.array(sizes, dtype=float)
     sqrt_sizes = np.sqrt(sizes)
+    row_reps = np.array([pos[s] for s in starts])
     layout = OrbitLayout(
         d=d,
         sqrt_sizes=sqrt_sizes,
         row_weights=np.array(blocks, dtype=float),
         weights=np.array(weights, dtype=float),
         block_of=np.array(block_of),
-        row_reps=np.array([pos[s] for s in starts]),
+        row_reps=row_reps,
+        self_angle=(np.arange(q), row_reps),
         twin=np.array([k - 1 if c - starts[block_of[k]] == 2 else k
                        for k, c in enumerate(coords)]),
         cc_orbit=cc_orbit,
+        row_orbit=cc_orbit[row_reps],
         directions=(cc_orbit == np.arange(len(orbits))[:, None, None]) / sqrt_sizes[:, None, None],
         out_row=np.array([a for a, _, _ in orbits]),
         out_col=np.array([pos[c] for c in cols]),

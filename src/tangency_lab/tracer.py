@@ -17,6 +17,7 @@ from .atlas import (
     chart_gradient_hessian,
     chart_hessian,
     chart_loss,
+    chart_point,
     refined_minimum,
 )
 from .errors import (
@@ -287,7 +288,6 @@ def sphere_extremize(chart, center, r, mode="min", n_starts=8, seed=0):
         dirs.append(v / np.linalg.norm(v))
 
     grad_fn = lambda x: chart_gradient(chart, x)
-    grad_hess_fn = lambda x: chart_gradient_hessian(chart, x)
     polish_cfg = TraceConfig()
 
     best_xi, best_val = None, None
@@ -295,10 +295,13 @@ def sphere_extremize(chart, center, r, mode="min", n_starts=8, seed=0):
     for v0 in dirs:
         xi = center_xi + r * v0
         alpha = r / (1.0 + abs(evals[pick]) * r)
-        fx = chart_loss(chart, xi)
+        # the point of the current iterate: an accepted trial's loss, its
+        # gradient and the polish's start all read one evaluation
+        point = chart_point(chart, xi)
+        fx = point.loss()
         for _ in range(budget):
             u = xi - center_xi
-            g = chart_gradient(chart, xi)
+            g = point.gradient()
             gt = sign * (g - ((g @ u) / (r * r)) * u)
             gn = np.linalg.norm(gt)
             if gn <= 1e-6 * max(1.0, np.linalg.norm(g)):
@@ -309,29 +312,33 @@ def sphere_extremize(chart, center, r, mode="min", n_starts=8, seed=0):
             for _ in range(60):
                 u_new = u - alpha * gt
                 xi_new = center_xi + (r / np.linalg.norm(u_new)) * u_new
-                f_new = chart_loss(chart, xi_new)
+                trial = chart_point(chart, xi_new)
+                f_new = trial.loss()
                 if sign * (f_new - fx) <= -1e-4 * alpha * gn * gn:
                     accepted = True
                     break
                 alpha *= 0.5
             if not accepted:
                 break
-            xi, fx = xi_new, f_new
+            xi, fx, point = xi_new, f_new, trial
             alpha *= 2.0
         # Newton polish on the sphere stationarity system drives the
-        # gradient the rest of the way to the 1e-9 target
+        # gradient the rest of the way to the 1e-9 target; its first
+        # gradient and Hessian are those of the descent's last point
         u = xi - center_xi
-        g = chart_gradient(chart, xi)
+        g = point.gradient()
         lam = (g @ u) / (2.0 * r * r)
-        sol_xi, _, status = _newton_solve(grad_fn, grad_hess_fn, center_xi, xi, lam, r, polish_cfg)
+        sol_xi, _, status = _newton_solve(
+            grad_fn, lambda x: point.gradient_hessian(), center_xi, xi, lam, r, polish_cfg)
         if status != "ok":
             continue
-        g = chart_gradient(chart, sol_xi)
+        point = chart_point(chart, sol_xi)
+        g = point.gradient()
         u = sol_xi - center_xi
         gt = g - ((g @ u) / (r * r)) * u
         if np.linalg.norm(gt) > 1e-9:
             continue
-        fx = chart_loss(chart, sol_xi)
+        fx = point.loss()
         if best_val is None or sign * (fx - best_val) < 0:
             best_xi, best_val = sol_xi, fx
     if best_xi is None:

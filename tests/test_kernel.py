@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tangency_lab.atlas import chart_gradient, chart_gradient_hessian, chart_hessian, chart_loss
+from tangency_lab.atlas import (
+    chart_gradient,
+    chart_gradient_hessian,
+    chart_hessian,
+    chart_loss,
+    chart_point,
+)
 from tangency_lab.errors import DegenerateVector, DimensionMismatch, NearParallelRows
 from tangency_lab.kernel import grad_loss, hvp, kernel_phi, loss
 from tangency_lab.symmetry import YoungPartitionGroup, build_chart, embed, project
@@ -225,11 +231,19 @@ def test_orbit_path_matches_dense_oracle(blocks):
         g2, H2 = chart_gradient_hessian(chart, xi)
         assert np.array_equal(g2, chart_gradient(chart, xi))
         assert np.array_equal(H2, chart_hessian(chart, xi))
+        # and so does one point, whichever value is read first
+        for first in ("loss", "gradient", "gradient_hessian"):
+            point = chart_point(chart, xi)
+            getattr(point, first)()
+            assert point.loss() == chart_loss(chart, xi)
+            assert np.array_equal(point.gradient(), g2)
+            g3, H3 = point.gradient_hessian()
+            assert np.array_equal(g3, g2) and np.array_equal(H3, H2)
 
 
 def test_orbit_path_raises_the_dense_error_types():
     chart = build_chart(7, YoungPartitionGroup((1, 1, 5)))
-    fns = (chart_loss, chart_gradient, chart_hessian, chart_gradient_hessian)
+    fns = (chart_loss, chart_gradient, chart_hessian, chart_gradient_hessian, chart_point)
     for fn in fns:
         with pytest.raises(DimensionMismatch):
             fn(chart, np.ones(chart.dim + 1))
@@ -250,3 +264,9 @@ def test_orbit_path_raises_the_dense_error_types():
                 fn(chart, xi)
         assert np.isfinite(chart_loss(chart, xi))
         assert chart_loss(chart, xi) == pytest.approx(loss(embed(chart, xi)), abs=1e-12)
+        # a point there serves the loss and refuses the derivatives
+        point = chart_point(chart, xi)
+        assert point.loss() == chart_loss(chart, xi)
+        for read in (point.gradient, point.gradient_hessian):
+            with pytest.raises(NearParallelRows):
+                read()

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from tangency_lab import kernel, tracer
 from tangency_lab.atlas import (
     chart_gradient,
     chart_hessian,
@@ -295,6 +296,54 @@ def test_sphere_maximum_keeps_full_symmetry(c0i_record):
     assert val > c0i_record.loss_value
     W = embed(chart, xi)
     assert detect_diagonal_isotropy(W).blocks == (7,)
+
+
+# sphere_extremize on the (6, 1) chart at d = 7, seed 0, repr-exact: the
+# reported isotropy can hinge on the last bits of these values, so a
+# rewrite of the descent must reproduce them exactly
+SPHERE_PINS = {
+    (1e-3, "min"): 0.06221100998246776,
+    (1e-3, "max"): 0.0622121076928801,
+    (0.1, "min"): 0.062498836352189,
+    (0.1, "max"): 0.07362957380200452,
+}
+
+
+@pytest.mark.parametrize("r, mode", sorted(SPHERE_PINS))
+def test_sphere_extremize_pins_the_descent(c0i_record, r, mode):
+    chart = build_chart(7, YoungPartitionGroup((6, 1)))
+    _, value = sphere_extremize(chart, c0i_record, r, mode=mode, seed=0)
+    assert repr(value) == repr(SPHERE_PINS[r, mode])
+
+
+def test_sphere_descent_evaluates_each_point_once(c0i_record, monkeypatch):
+    # between two Newton polishes (one start's projected-gradient descent)
+    # the orbit terms are computed at most once per point: a trial's loss,
+    # its gradient once accepted and the polish's start share them
+    chart = build_chart(7, YoungPartitionGroup((6, 1)))
+    phases, polishing = [[]], [False]
+    terms, newton_solve = kernel._orbit_terms, tracer._newton_solve
+
+    def recording_terms(layout, xi, *rest):
+        if not polishing[0]:
+            phases[-1].append(np.asarray(xi, dtype=float).tobytes())
+        return terms(layout, xi, *rest)
+
+    def marking_solve(*args):
+        polishing[0] = True
+        try:
+            return newton_solve(*args)
+        finally:
+            polishing[0] = False
+            phases.append([])
+
+    monkeypatch.setattr(kernel, "_orbit_terms", recording_terms)
+    monkeypatch.setattr(tracer, "_newton_solve", marking_solve)
+    for r, mode in sorted(SPHERE_PINS):
+        sphere_extremize(chart, c0i_record, r, mode=mode, seed=0)
+    assert len(phases) > 8 and sum(map(len, phases)) > 100
+    repeats = [len(seen) - len(set(seen)) for seen in phases]
+    assert repeats == [0] * len(phases)
 
 
 def test_sphere_extremize_validation(c0i_record):
