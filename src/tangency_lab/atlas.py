@@ -130,7 +130,8 @@ def _type_label(chart, xi):
 
 def chart_point(chart, xi):
     """The loss and its chart derivatives at chart coordinates xi, from one
-    evaluation of the orbit terms (a `kernel.OrbitPoint`)."""
+    evaluation of the orbit terms (a `kernel.OrbitPoint`); xi may also be
+    a stack (B, n) of points, for the loss and gradient of each."""
     return OrbitPoint(chart.layout, xi)
 
 

@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -261,6 +260,10 @@ def cmd_arcs(args, outdir):
     # a fork-based pool starts every worker at its first submit
     workers = min(args.jobs, len(tasks))
     if workers > 1:
+        # imported here: the pool's modules cost every other command
+        # about 2 MB and 20 ms at start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = dict(pool.map(_arc_cell, tasks))
     else:

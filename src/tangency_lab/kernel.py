@@ -244,6 +244,14 @@ def hvp(W, V):
 # with their weights, so the cost does not grow with d. They are the
 # formulas of `loss`, `grad_loss` and `hvp` term by term, which stay as
 # the d x d oracle.
+#
+# The orbit terms, the loss and the gradient take one point or a stack
+# of points on a leading axis, and each row of a stack gets the bits of
+# that row evaluated alone. That holds because every array a BLAS
+# product reads is C-ordered slice by slice, as it is for one point:
+# fancy indexing of a stack returns other memory orders, so the gathers
+# use `take` or copy to C order, and a dot product per row is a stacked
+# (1, k) @ (k, 1) product, which reaches the same BLAS kernel as `a @ b`.
 
 
 def _g(theta):
@@ -253,44 +261,86 @@ def _g(theta):
 def _orbit_terms(layout, xi):
     """Representative submatrix, row norms and both angle arrays at xi.
 
-    Returns WC (m, m), WR (q, m) its representative rows, n (q,), nC (m,)
-    the norms of the m representative rows, and the (q, m) student and
-    teacher angles. Self angles are exactly 0.
+    For one point xi (n,) returns WC (m, m), WR (q, m) its representative
+    rows, n (q,), nC (m,) the norms of the m representative rows, and the
+    (q, m) student and teacher angles; self angles are exactly 0. For a
+    stack xi (B, n) each array gains the leading axis B, and the stack
+    raises if any of its rows would.
     """
-    xi = np.asarray(xi, dtype=float).ravel()
-    if xi.shape[0] != layout.sqrt_sizes.shape[0]:
+    xi = np.ascontiguousarray(xi, dtype=float)
+    if xi.ndim not in (1, 2) or xi.shape[-1] != layout.sqrt_sizes.shape[0]:
         raise DimensionMismatch(
-            f"expected {layout.sqrt_sizes.shape[0]} coordinates, got {xi.shape[0]}"
+            f"expected {layout.sqrt_sizes.shape[0]} coordinates, got shape {xi.shape}"
         )
     if not np.isfinite(xi).all():
         raise DegenerateVector("chart coordinates are not finite")
     values = xi / layout.sqrt_sizes
-    WC = values[layout.cc_orbit]
-    WR = values[layout.row_orbit]
+    WC = values.take(layout.cc_orbit, axis=-1)
+    WR = values.take(layout.row_orbit, axis=-1)
     n = np.sqrt((WR * WR) @ layout.weights)
     if n.min() <= EPS_NORM:
         raise DegenerateVector("a student row has norm <= 1e-12")
-    nC = n[layout.block_of]
+    nC = n.take(layout.block_of, axis=-1)
     # minimum/maximum in place of np.clip: these arrays are tiny and
     # every call's fixed cost counts in the continuation loops
-    gram = ((WR * layout.weights) @ WC.T)[:, layout.twin]
-    cos = gram / (n[:, None] * nC)
+    gram = ((WR * layout.weights) @ WC.swapaxes(-1, -2)).take(layout.twin, axis=-1)
+    cos = gram / (n[..., :, None] * nC[..., None, :])
     theta_ww = np.arccos(np.minimum(np.maximum(cos, -1.0, out=cos), 1.0, out=cos))
     theta_ww[layout.self_angle] = 0.0
-    cos = WR / n[:, None]
+    cos = WR / n[..., None]
     theta_wt = np.arccos(np.minimum(np.maximum(cos, -1.0, out=cos), 1.0, out=cos))
     return WC, WR, n, nC, theta_ww, theta_wt
 
 
-class OrbitPoint:
-    """The loss and its chart derivatives at one point of a chart.
+def _orbit_loss(layout, terms):
+    """`loss` at the point, or at each point of the stack, of these orbit terms."""
+    _, _, n, nC, theta_ww, theta_wt = terms
+    # (1, q) @ (q, m) @ (m, 1) per point: a vector-matrix product, then the
+    # dot product that `rows @ M @ w` ends with on one point
+    rows = (n * layout.row_weights)[..., None, :]
+    w = layout.weights[:, None]
+    s_ww = (rows @ (_g(theta_ww) * nC[..., None, :]) @ w)[..., 0, 0] / (2.0 * np.pi)
+    s_wt = (rows @ _g(theta_wt) @ w)[..., 0, 0] / (2.0 * np.pi)
+    d = layout.d
+    s_tt = d / 2.0 + d * (d - 1) / (2.0 * np.pi)
+    return 0.5 * (s_ww - 2.0 * s_wt + s_tt)
 
-    Construction validates the chart coordinates xi (DimensionMismatch,
-    DegenerateVector) and computes the orbit terms once; `loss`,
-    `gradient` and `gradient_hessian` read them and keep what they
-    computed, so each is evaluated at most once per point and the
-    gradient-Hessian reuses the gradient. The derivatives raise
-    NearParallelRows at antiparallel rows, where the loss is still
+
+def _orbit_gradient(layout, terms):
+    """Chart gradient at the point, or at each point of the stack, of these
+    orbit terms, and the terms the Hessian shares with it: both sine
+    arrays, a - b and the weighted pi - t of the student angles.
+
+    Raises NearParallelRows if any point has antiparallel rows.
+    """
+    WC, WR, n, nC, theta_ww, theta_wt = terms
+    # self angles are 0, so the largest angle comes from a distinct pair
+    if np.pi - max(theta_ww.max(), theta_wt.max()) < ANTIPARALLEL_TOL:
+        raise NearParallelRows("antiparallel row pair within 1e-9 of the singularity")
+    w = layout.weights
+    sin_ww = np.sin(theta_ww)
+    sin_wt = np.sin(theta_wt)
+    a_minus_b = (sin_ww * nC[..., None, :]) @ w - sin_wt @ w
+    pi_ww = (np.pi - theta_ww) * w
+    G = a_minus_b[..., None] * (WR / n[..., None]) + pi_ww @ WC - (np.pi - theta_wt)
+    # a gather from a stack is not C-ordered; the dot products of its rows need it
+    G = np.ascontiguousarray(G[..., layout.out_row, layout.out_col])
+    g = layout.sqrt_sizes * G / (2.0 * np.pi)
+    return g, sin_ww, sin_wt, a_minus_b, pi_ww
+
+
+class OrbitPoint:
+    """The loss and its chart derivatives at one point of a chart, or the
+    loss and chart gradient at each point of a stack.
+
+    Construction validates the chart coordinates xi, one point (n,) or a
+    stack (B, n) (DimensionMismatch, DegenerateVector), and computes the
+    orbit terms once; `loss`, `gradient` and `gradient_hessian` read them
+    and keep what they computed, so each is evaluated at most once per
+    point and the gradient-Hessian reuses the gradient. On a stack,
+    `loss` and `gradient` give one row per point, each with the bits of
+    that point evaluated alone, and `take` selects rows. The derivatives
+    raise NearParallelRows at antiparallel rows, where the loss is still
     defined.
     """
 
@@ -301,37 +351,27 @@ class OrbitPoint:
         self._terms = _orbit_terms(layout, xi)
         self._loss = self._grad = self._grad_hess = None
 
+    def take(self, index):
+        """The point (an integer index) or the stack (an index array or a
+        mask) of these rows of a stack, with the values already computed
+        for them; nothing is evaluated again."""
+        sub = OrbitPoint.__new__(OrbitPoint)
+        sub.layout = self.layout
+        sub._terms = tuple(t[index] for t in self._terms)
+        sub._loss = None if self._loss is None else self._loss[index]
+        sub._grad = None if self._grad is None else tuple(t[index] for t in self._grad)
+        sub._grad_hess = None
+        return sub
+
     def loss(self):
         """`loss` at the fixed matrix with these chart coordinates."""
         if self._loss is None:
-            layout = self.layout
-            _, _, n, nC, theta_ww, theta_wt = self._terms
-            w = layout.weights
-            rows = n * layout.row_weights
-            s_ww = float(rows @ (_g(theta_ww) * nC) @ w) / (2.0 * np.pi)
-            s_wt = float(rows @ _g(theta_wt) @ w) / (2.0 * np.pi)
-            d = layout.d
-            s_tt = d / 2.0 + d * (d - 1) / (2.0 * np.pi)
-            self._loss = 0.5 * (s_ww - 2.0 * s_wt + s_tt)
+            self._loss = _orbit_loss(self.layout, self._terms)
         return self._loss
 
     def _gradient_terms(self):
-        """Chart gradient and the terms the Hessian shares with it: both
-        sine arrays, a - b and the weighted pi - t of the student angles."""
         if self._grad is None:
-            layout = self.layout
-            WC, WR, n, nC, theta_ww, theta_wt = self._terms
-            # self angles are 0, so the largest angle comes from a distinct pair
-            if np.pi - max(theta_ww.max(), theta_wt.max()) < ANTIPARALLEL_TOL:
-                raise NearParallelRows("antiparallel row pair within 1e-9 of the singularity")
-            w = layout.weights
-            sin_ww = np.sin(theta_ww)
-            sin_wt = np.sin(theta_wt)
-            a_minus_b = (sin_ww * nC) @ w - sin_wt @ w
-            pi_ww = (np.pi - theta_ww) * w
-            G = a_minus_b[:, None] * (WR / n[:, None]) + pi_ww @ WC - (np.pi - theta_wt)
-            g = layout.sqrt_sizes * G[layout.out_row, layout.out_col] / (2.0 * np.pi)
-            self._grad = g, sin_ww, sin_wt, a_minus_b, pi_ww
+            self._grad = _orbit_gradient(self.layout, self._terms)
         return self._grad
 
     def gradient(self):
@@ -339,7 +379,7 @@ class OrbitPoint:
         return self._gradient_terms()[0]
 
     def gradient_hessian(self):
-        """Chart gradient and exact chart Hessian.
+        """Chart gradient and exact chart Hessian, at a single point.
 
         Hessian entry (o, o') is sqrt(|o|) times H[B_o'] at one entry of
         orbit o, H[B_o'] being `hvp` along chart basis direction B_o'

@@ -73,7 +73,7 @@ class OrbitLayout:
     weights: np.ndarray  # (m,) coordinates each representative stands for
     block_of: np.ndarray  # (m,) block of each representative
     row_reps: np.ndarray  # (q,) position of each block's first coordinate
-    self_angle: tuple  # index of the q self angles in a (q, m) angle array
+    self_angle: tuple  # index of the q self angles in (..., q, m) angle arrays
     twin: np.ndarray  # (m,) representative whose Gram entries each one copies
     cc_orbit: np.ndarray  # (m, m) orbit of each representative entry
     row_orbit: np.ndarray  # (q, m) the representative rows of cc_orbit
@@ -193,7 +193,7 @@ def _build_chart(d, blocks):
         weights=np.array(weights, dtype=float),
         block_of=np.array(block_of),
         row_reps=row_reps,
-        self_angle=(np.arange(q), row_reps),
+        self_angle=(..., np.arange(q), row_reps),
         twin=np.array([k - 1 if c - starts[block_of[k]] == 2 else k
                        for k, c in enumerate(coords)]),
         cc_orbit=cc_orbit,

@@ -96,7 +96,7 @@ def _newton_solve(grad_fn, grad_hess_fn, center, xi, lam, r, cfg):
                 return None, None, "diverged"
         F[:n] = g - 2.0 * lam * u
         F[n] = u @ u - r * r
-        if not np.all(np.isfinite(F)):
+        if not np.isfinite(F).all():
             return None, None, "diverged"
         res = np.linalg.norm(F)
         if res <= cfg.newton_tol:
@@ -120,7 +120,7 @@ def _newton_solve(grad_fn, grad_hess_fn, center, xi, lam, r, cfg):
             step = np.linalg.solve(J, -F)
         except np.linalg.LinAlgError:
             return None, None, "singular"
-        if not np.all(np.isfinite(step)):
+        if not np.isfinite(step).all():
             return None, None, "diverged"
         xi = xi + step[:n]
         lam = lam + step[n]
@@ -260,6 +260,14 @@ def tangent_direction(arc):
     return embed(arc.chart, v)
 
 
+def _row_dot(a, b):
+    """Row-wise dot products of two (B, n) arrays, each with the bits of
+    `a[i] @ b[i]`: a stacked (1, n) @ (n, 1) product reaches the same BLAS
+    dot kernel, where np.einsum and a matrix-vector product sum in other
+    orders. The rows must be C-contiguous for the same reason."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
 def sphere_extremize(chart, center, r, mode="min", n_starts=8, seed=0):
     """Extremize the loss over the chart sphere |xi - center| = r.
 
@@ -287,44 +295,71 @@ def sphere_extremize(chart, center, r, mode="min", n_starts=8, seed=0):
         v = rng.normal(size=n)
         dirs.append(v / np.linalg.norm(v))
 
+    # The starts descend in lockstep. Each keeps its own step alpha, loss,
+    # halving count and step count, and each round evaluates the Armijo
+    # trials of all starts still searching as one stack, then the
+    # gradients of the starts that accepted theirs. A row of a stack gets
+    # the bits of its point evaluated alone, so every start takes the
+    # path it takes by itself.
+    budget = 100_000
+    S = len(dirs)
+    X = center_xi + r * np.array(dirs)
+    alpha = np.full(S, r / (1.0 + abs(evals[pick]) * r))
+    U, GT = np.empty_like(X), np.empty_like(X)
+    gn = np.empty(S)
+    halvings = np.zeros(S, dtype=int)
+    steps = np.zeros(S, dtype=int)
+    # the evaluated stack holding each start's current point, and its row:
+    # its gradient and the polish's start read that evaluation
+    current = [None] * S
+    fresh = np.arange(S)  # starts at a new point, whose gradient comes next
+    found = chart_point(chart, X)  # the points of the fresh starts
+    f = found.loss().copy()
+    searching = fresh[:0]
+    while True:
+        if fresh.size:
+            g = found.gradient()
+            for j, s in enumerate(fresh):
+                current[s] = (found, j)
+            u = X[fresh] - center_xi
+            gt = sign * (g - (_row_dot(g, u) / (r * r))[:, None] * u)
+            gn_fresh = np.sqrt(_row_dot(gt, gt))
+            go = (steps[fresh] < budget) & ~(
+                gn_fresh <= 1e-6 * np.maximum(1.0, np.sqrt(_row_dot(g, g))))
+            fresh = fresh[go]
+            U[fresh], GT[fresh], gn[fresh] = u[go], gt[go], gn_fresh[go]
+            steps[fresh] += 1
+            halvings[fresh] = 0
+            searching = np.concatenate((searching, fresh))
+        if not searching.size:
+            break
+        # Armijo backtracking on the sphere; 60 halvings without a
+        # decrease mean it fell below the loss rounding floor
+        rows = searching
+        u_new = U[rows] - alpha[rows, None] * GT[rows]
+        X_new = center_xi + (r / np.sqrt(_row_dot(u_new, u_new)))[:, None] * u_new
+        trials = chart_point(chart, X_new)
+        f_new = trials.loss()
+        ok = sign * (f_new - f[rows]) <= -1e-4 * alpha[rows] * gn[rows] * gn[rows]
+        fresh = rows[ok]
+        X[fresh], f[fresh] = X_new[ok], f_new[ok]
+        alpha[fresh] *= 2.0
+        found = trials.take(ok)
+        rejected = rows[~ok]
+        alpha[rejected] *= 0.5
+        halvings[rejected] += 1
+        searching = rejected[halvings[rejected] < 60]
+
+    # Newton polish on the sphere stationarity system drives the gradient
+    # the rest of the way to the 1e-9 target, start by start; its first
+    # gradient and Hessian are those of the descent's last point
     grad_fn = lambda x: chart_gradient(chart, x)
     polish_cfg = TraceConfig()
-
     best_xi, best_val = None, None
-    budget = 100_000
-    for v0 in dirs:
-        xi = center_xi + r * v0
-        alpha = r / (1.0 + abs(evals[pick]) * r)
-        # the point of the current iterate: an accepted trial's loss, its
-        # gradient and the polish's start all read one evaluation
-        point = chart_point(chart, xi)
-        fx = point.loss()
-        for _ in range(budget):
-            u = xi - center_xi
-            g = point.gradient()
-            gt = sign * (g - ((g @ u) / (r * r)) * u)
-            gn = np.linalg.norm(gt)
-            if gn <= 1e-6 * max(1.0, np.linalg.norm(g)):
-                break
-            # Armijo backtracking on the sphere; a stall means the
-            # decrease fell below the loss rounding floor
-            accepted = False
-            for _ in range(60):
-                u_new = u - alpha * gt
-                xi_new = center_xi + (r / np.linalg.norm(u_new)) * u_new
-                trial = chart_point(chart, xi_new)
-                f_new = trial.loss()
-                if sign * (f_new - fx) <= -1e-4 * alpha * gn * gn:
-                    accepted = True
-                    break
-                alpha *= 0.5
-            if not accepted:
-                break
-            xi, fx, point = xi_new, f_new, trial
-            alpha *= 2.0
-        # Newton polish on the sphere stationarity system drives the
-        # gradient the rest of the way to the 1e-9 target; its first
-        # gradient and Hessian are those of the descent's last point
+    for s in range(S):
+        stack, j = current[s]
+        point = stack.take(j)
+        xi = X[s]
         u = xi - center_xi
         g = point.gradient()
         lam = (g @ u) / (2.0 * r * r)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import json
 import os
@@ -185,7 +186,7 @@ def test_arcs_pool_is_no_larger_than_the_cell_count(tmp_path, monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.delenv("TANGENCY_LAB_OUT", raising=False)
     base = ["arcs", "--d", "7", "--k", "2", "--delta-r", "0.05",
             "--max-newton-iters", "30", "--jobs", "64"]

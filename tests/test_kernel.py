@@ -270,3 +270,79 @@ def test_orbit_path_raises_the_dense_error_types():
         for read in (point.gradient, point.gradient_hessian):
             with pytest.raises(NearParallelRows):
                 read()
+
+
+@pytest.mark.parametrize("blocks", ORBIT_PARTITIONS)
+def test_stacked_points_match_single_points(blocks):
+    # a stack of points gives every row the bits of that point evaluated
+    # alone, whatever the stack's size and memory layout
+    d = sum(blocks)
+    chart = build_chart(d, YoungPartitionGroup(blocks))
+    rng = np.random.default_rng(d + len(blocks))
+    scales = rng.choice([1e-3, 0.3], size=(33, 1))
+    X = project(chart, np.eye(d)) + scales * rng.normal(size=(33, chart.dim))
+    X[0] = project(chart, np.eye(d))
+    singles = [chart_point(chart, xi) for xi in X]
+    stacks = [(X[:b], np.arange(b)) for b in (1, 2, 8, 33)]
+    subset = np.array([30, 4, 17, 4, 0])
+    stacks += [(X[subset], subset), (np.asfortranarray(X), np.arange(33)),
+               (X[::2], np.arange(0, 33, 2))]
+    for S, rows in stacks:
+        stack = chart_point(chart, S)
+        L, G = stack.loss(), stack.gradient()
+        assert L.shape == (len(rows),) and G.shape == (len(rows), chart.dim)
+        # row-wise dot products of the gradients, as the sphere descent
+        # takes them, need C-ordered rows to get the single points' bits
+        dots = (G[:, None, :] @ G[:, :, None])[:, 0, 0]
+        for i, j in enumerate(rows):
+            assert L[i] == singles[j].loss()
+            g = singles[j].gradient()
+            assert np.array_equal(G[i], g) and dots[i] == g @ g
+    # rows taken from an evaluated stack keep their values, and a row
+    # taken alone is its point, Hessian included
+    stack = chart_point(chart, X)
+    stack.loss(), stack.gradient()
+    sub = stack.take(subset)
+    for i, j in enumerate(subset):
+        assert sub.loss()[i] == singles[j].loss()
+        assert np.array_equal(sub.gradient()[i], singles[j].gradient())
+    for j in (0, 1, 32):
+        point, single = stack.take(j), singles[j]
+        assert point.loss() == single.loss()
+        g, H = point.gradient_hessian()
+        g1, H1 = single.gradient_hessian()
+        assert np.array_equal(g, g1) and np.array_equal(H, H1)
+    # one point is a stack of one
+    one = chart_point(chart, X[5:6])
+    assert one.loss()[0] == singles[5].loss()
+    assert np.array_equal(one.gradient()[0], singles[5].gradient())
+
+
+def test_stacked_points_raise_the_single_point_errors():
+    chart = build_chart(7, YoungPartitionGroup((1, 1, 5)))
+    rng = np.random.default_rng(11)
+    X = project(chart, np.eye(7)) + 0.3 * rng.normal(size=(4, chart.dim))
+    for shape in ((4, chart.dim + 1), (4, chart.dim - 1), (2, 2, chart.dim)):
+        with pytest.raises(DimensionMismatch):
+            chart_point(chart, np.ones(shape))
+    for bad in (np.nan, np.inf):
+        Y = X.copy()
+        Y[2, 1] = bad
+        with pytest.raises(DegenerateVector):
+            chart_point(chart, Y)
+    Y = X.copy()
+    Y[3] = 0.0
+    with pytest.raises(DegenerateVector):
+        chart_point(chart, Y)
+    # a stack with one antiparallel row serves every loss and refuses the
+    # gradient; the rows without it still give theirs
+    W = embed(chart, rng.normal(size=chart.dim))
+    W[1] = -W[0]
+    Y = np.vstack([X, project(chart, W)])
+    stack = chart_point(chart, Y)
+    assert np.array_equal(stack.loss(), [chart_loss(chart, y) for y in Y])
+    with pytest.raises(NearParallelRows):
+        stack.gradient()
+    with pytest.raises(NearParallelRows):
+        stack.take([0, 4]).gradient()
+    assert np.array_equal(stack.take([0, 2]).gradient(), [chart_gradient(chart, X[i]) for i in (0, 2)])

@@ -8,6 +8,7 @@ from tangency_lab import kernel, tracer
 from tangency_lab.atlas import (
     chart_gradient,
     chart_hessian,
+    chart_point,
     refine_critical,
     refined_minimum,
     seed_minimum,
@@ -19,6 +20,7 @@ from tangency_lab.symmetry import (
     build_chart,
     detect_diagonal_isotropy,
     embed,
+    transfer,
 )
 from tangency_lab.tracer import (
     ArcRecord,
@@ -317,16 +319,18 @@ def test_sphere_extremize_pins_the_descent(c0i_record, r, mode):
 
 
 def test_sphere_descent_evaluates_each_point_once(c0i_record, monkeypatch):
-    # between two Newton polishes (one start's projected-gradient descent)
-    # the orbit terms are computed at most once per point: a trial's loss,
-    # its gradient once accepted and the polish's start share them
+    # in the descent before the first Newton polish (all starts, in
+    # lockstep) and between two polishes the orbit terms are computed at
+    # most once per point: a trial's loss, its gradient once accepted and
+    # the polish's start share them
     chart = build_chart(7, YoungPartitionGroup((6, 1)))
     phases, polishing = [[]], [False]
     terms, newton_solve = kernel._orbit_terms, tracer._newton_solve
 
     def recording_terms(layout, xi, *rest):
+        # one entry per point: the descent evaluates its points in stacks
         if not polishing[0]:
-            phases[-1].append(np.asarray(xi, dtype=float).tobytes())
+            phases[-1].extend(row.tobytes() for row in np.atleast_2d(np.asarray(xi, dtype=float)))
         return terms(layout, xi, *rest)
 
     def marking_solve(*args):
@@ -344,6 +348,79 @@ def test_sphere_descent_evaluates_each_point_once(c0i_record, monkeypatch):
     assert len(phases) > 8 and sum(map(len, phases)) > 100
     repeats = [len(seen) - len(set(seen)) for seen in phases]
     assert repeats == [0] * len(phases)
+
+
+def _sphere_extremize_start_by_start(chart, center, r, mode, n_starts, seed):
+    # the per-start descent that the lockstep descent replaced, kept as the
+    # reference: each start runs to its end before the next one begins
+    center_xi = transfer(center.chart, center.xi, chart)
+    sign = 1.0 if mode == "min" else -1.0
+    evals, evecs = np.linalg.eigh(chart_hessian(chart, center_xi))
+    pick = 0 if mode == "min" else -1
+    rng = np.random.default_rng(seed)
+    dirs = [evecs[:, pick], -evecs[:, pick]]
+    while len(dirs) < n_starts:
+        v = rng.normal(size=chart.dim)
+        dirs.append(v / np.linalg.norm(v))
+    grad_fn = lambda x: chart_gradient(chart, x)
+    best_xi, best_val = None, None
+    for v0 in dirs:
+        xi = center_xi + r * v0
+        alpha = r / (1.0 + abs(evals[pick]) * r)
+        point = chart_point(chart, xi)
+        fx = point.loss()
+        for _ in range(100_000):
+            u = xi - center_xi
+            g = point.gradient()
+            gt = sign * (g - ((g @ u) / (r * r)) * u)
+            gn = np.linalg.norm(gt)
+            if gn <= 1e-6 * max(1.0, np.linalg.norm(g)):
+                break
+            accepted = False
+            for _ in range(60):
+                u_new = u - alpha * gt
+                xi_new = center_xi + (r / np.linalg.norm(u_new)) * u_new
+                trial = chart_point(chart, xi_new)
+                f_new = trial.loss()
+                if sign * (f_new - fx) <= -1e-4 * alpha * gn * gn:
+                    accepted = True
+                    break
+                alpha *= 0.5
+            if not accepted:
+                break
+            xi, fx, point = xi_new, f_new, trial
+            alpha *= 2.0
+        u = xi - center_xi
+        g = point.gradient()
+        lam = (g @ u) / (2.0 * r * r)
+        sol_xi, _, status = _newton_solve(
+            grad_fn, lambda x: point.gradient_hessian(), center_xi, xi, lam, r, TraceConfig())
+        if status != "ok":
+            continue
+        point = chart_point(chart, sol_xi)
+        g = point.gradient()
+        u = sol_xi - center_xi
+        if np.linalg.norm(g - ((g @ u) / (r * r)) * u) > 1e-9:
+            continue
+        fx = point.loss()
+        if best_val is None or sign * (fx - best_val) < 0:
+            best_xi, best_val = sol_xi, fx
+    return best_xi, float(best_val)
+
+
+@pytest.mark.parametrize("family", ["C0I", "C0II", "C1I", "C1II"])
+@pytest.mark.parametrize("d", [7, 20])
+def test_lockstep_sphere_descent_matches_the_start_by_start_loop(family, d):
+    # on the (d - 2, 1, 1) chart that `sphere` uses by default
+    rec = refined_minimum(family, d)
+    chart = build_chart(d, YoungPartitionGroup((d - 2, 1, 1)))
+    for mode in ("min", "max"):
+        for r in (1e-3, 0.1):
+            for n_starts in (8, 9):
+                xi, value = sphere_extremize(chart, rec, r, mode=mode, n_starts=n_starts)
+                xi_ref, value_ref = _sphere_extremize_start_by_start(
+                    chart, rec, r, mode, n_starts, seed=0)
+                assert np.array_equal(xi, xi_ref) and value == value_ref, (mode, r, n_starts)
 
 
 def test_sphere_extremize_validation(c0i_record):
