@@ -21,11 +21,12 @@ from .atlas import FAMILIES, MIN_D, predicted_loss, refined_minimum
 from .errors import TangencyLabError
 from .spectrum import brute_spectrum, expand_report, full_spectrum, predicted_spectrum
 from .symmetry import (
+    ISOTYPIC_LABELS,
     YoungPartitionGroup,
     build_chart,
+    chart_isotypic_projector,
     detect_diagonal_isotropy,
     embed,
-    isotypic_project,
     transfer,
 )
 from .toy import CRITICAL_POINTS, points_to_csv, sample_tangency_set
@@ -345,11 +346,11 @@ def cmd_sphere(args, outdir):
     radii = np.geomspace(lo, hi, count)
 
     def describe(xi):
-        disp = embed(chart, xi - center)
-        iso = _partition_text(detect_diagonal_isotropy(disp))
+        disp = xi - center
+        iso = _partition_text(detect_diagonal_isotropy(embed(chart, disp)))
         norms = {
-            lab: float(np.linalg.norm(isotypic_project(disp, lab, special=special)))
-            for lab in ("t", "s", "x", "y")
+            lab: float(np.linalg.norm(chart_isotypic_projector(chart, lab, special) @ disp))
+            for lab in ISOTYPIC_LABELS
         }
         dominant = max(sorted(norms), key=lambda lab: norms[lab])
         return iso, dominant

@@ -22,7 +22,7 @@ class InvalidPartition(TangencyLabError):
 
 
 class UnsupportedLabel(TangencyLabError):
-    """No representative construction exists for the requested component label."""
+    """Unknown isotypic component label."""
 
 
 class UnsupportedFamily(TangencyLabError):
@@ -41,10 +41,6 @@ class AmbiguousType(TangencyLabError):
     """Big-block diagonal too close to zero to call the point type I or II."""
 
 
-class RepresentativeDegenerate(TangencyLabError):
-    """A representative matrix has Frobenius norm below 1e-10."""
-
-
 class MultiplicityMismatch(TangencyLabError):
     """Assembled spectrum multiplicities do not sum to d^2."""
 
@@ -54,15 +50,11 @@ class TooLarge(TangencyLabError):
 
 
 class BadDirection(TangencyLabError):
-    """Arc seed direction is outside the chart span or not a Hessian eigenvector."""
+    """Arc seed direction is not a unit vector or not a Hessian eigenvector."""
 
 
 class NoConvergence(TangencyLabError):
     """No sphere-extremization start reached stationarity within the iteration cap."""
-
-
-class InsufficientSamples(TangencyLabError):
-    """An arc record holds too few samples for the requested computation."""
 
 
 class CoincidentPoint(TangencyLabError):

@@ -51,25 +51,6 @@ def _angles_student_teacher(W, n):
     return np.arccos(cos)
 
 
-def kernel_phi(w, v):
-    """Arccos kernel phi(w, v) = (1/pi) |w||v| (sin t + (pi - t) cos t).
-
-    Symmetric and positively homogeneous of degree 1 in each argument.
-    Raises DegenerateVector if either argument has norm <= 1e-12.
-    """
-    w = np.asarray(w, dtype=float).ravel()
-    v = np.asarray(v, dtype=float).ravel()
-    if w.shape != v.shape:
-        raise DimensionMismatch("kernel arguments must have equal length")
-    nw = np.linalg.norm(w)
-    nv = np.linalg.norm(v)
-    if nw <= EPS_NORM or nv <= EPS_NORM:
-        raise DegenerateVector("kernel argument has norm <= 1e-12")
-    cos = np.clip(np.dot(w, v) / (nw * nv), -1.0, 1.0)
-    theta = np.arccos(cos)
-    return nw * nv * (np.sin(theta) + (np.pi - theta) * np.cos(theta)) / np.pi
-
-
 def loss(W):
     """Population loss 0.5 E[(student(x) - teacher(x))^2] at weight matrix W.
 

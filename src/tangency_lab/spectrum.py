@@ -1,36 +1,28 @@
 """Hessian spectra at symmetric critical points, assembled from chart Hessians.
 
 The Hessian of the closed-form loss at a point fixed by a diagonal
-permutation group splits along isotypic components, and each component
-is read off the exact Hessian restricted to one fixed-point chart:
-
-- t: the Hessian on the record's own chart (multiplicity one each);
-- s: the Hessian on the (d-p-1, 1^(p+1)) chart compressed onto the
-  standard-copy representatives (multiplicity d-p-1 each);
-- x and y: Rayleigh quotients of one Hessian on the (d-p-2, 1^(p+2))
-  chart (multiplicities quadratic in d),
-
-for a record with p fixed coordinates. The record's coordinates on the
-finer charts, the copies and the representatives are read off one entry
-per orbit, and chart Hessians come from the orbit evaluator of `kernel`,
-so no d x d matrix is formed and the cost does not grow with d. A dense
-eigensolve over all d^2 elementary directions serves as the oracle at
-small d.
+permutation group commutes with that group, so it splits along the
+isotypic components of the permutations of the q = d - p non-fixed
+coordinates (for a record on the (q, 1^p) chart). Each component is
+read off one chart: with c = 0 for t, 1 for s and 2 for x and y, the
+chart Hessian on the (q-c, 1^(p+c)) chart compressed onto the range of
+`symmetry.chart_isotypic_projector` (special = the p fixed coordinates)
+has the component's eigenvalues, each of multiplicity the dimension of
+its irreducible representation (1, q-1, (q-1)(q-2)/2 and q(q-3)/2).
+Coordinates move between charts one entry per orbit, and chart Hessians
+come from the orbit evaluator of `kernel`, so no d x d matrix is formed
+and the cost does not grow with d. A dense eigensolve over all d^2
+elementary directions serves as the oracle at small d.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    MultiplicityMismatch,
-    RepresentativeDegenerate,
-    TooLarge,
-    UnsupportedFamily,
-)
+from .errors import MultiplicityMismatch, TooLarge, UnsupportedFamily
 from .atlas import chart_hessian
 from .kernel import hvp
-from .symmetry import build_chart, orbit_coordinates, representative_entries, transfer
+from .symmetry import build_chart, chart_isotypic_projector, transfer
 
 
 @dataclass(frozen=True)
@@ -42,91 +34,30 @@ class SpectrumReport:
 
 
 def _split_p(record):
-    blocks = record.chart.group.blocks
-    if blocks == (record.d,):
-        return 0
-    if blocks == (record.d - 1, 1):
-        return 1
-    raise UnsupportedFamily(f"spectra support partitions (d,) and (d-1,1), got {blocks}")
-
-
-def _finer_chart(record, extra):
-    """The (d-p-extra, 1^(p+extra)) chart and the record's coordinates on it."""
-    d, p = record.d, _split_p(record)
-    chart = build_chart(d, (d - p - extra,) + (1,) * (p + extra))
-    return chart, transfer(record.chart, record.xi, chart)
-
-
-def t_block_spectrum(record):
-    """Eigenvalues of the Hessian restricted to the isotropy chart."""
-    _split_p(record)
-    return list(np.linalg.eigvalsh(chart_hessian(record.chart, record.xi)))
-
-
-def _s_copies(chart, q):
-    """Chart coordinates of the standard copies of a point permuting q indices.
-
-    The three copies of representative('s', c, q), and for each fixed
-    coordinate f >= q the vector u = (1, ..., 1, -(q-1)) put into column f
-    and into row f.
-    """
-    i, j = chart.rep_rows, chart.rep_cols
-    u = lambda k: representative_entries("s", 1, q, k, k)  # zero past q
-    entries = [representative_entries("s", c, q, i, j) for c in (1, 2, 3)]
-    for f in range(q, chart.d):
-        entries.append(np.where(j == f, u(i), 0.0))
-        entries.append(np.where(i == f, u(j), 0.0))
-    return orbit_coordinates(chart, entries)
-
-
-def s_block_spectrum(record):
-    """Eigenvalues of the interaction matrix over the standard copies.
-
-    Copies are normalized to unit Frobenius norm first; their span is
-    invariant and the Hessian is exact, so the interaction matrix is
-    symmetric up to rounding and symmetrization is safe.
-    """
-    chart, xi = _finer_chart(record, 1)
-    copies = _s_copies(chart, record.d - _split_p(record))
-    norms = np.linalg.norm(copies, axis=1)
-    if np.any(norms < 1e-10):
-        raise RepresentativeDegenerate("standard-copy representative has tiny norm")
-    copies /= norms[:, None]
-    alpha = copies @ chart_hessian(chart, xi) @ copies.T
-    alpha = 0.5 * (alpha + alpha.T)
-    return list(np.linalg.eigvalsh(alpha))
-
-
-def _xy_eigenvalues(record):
-    """The x and y eigenvalues: Rayleigh quotients of one chart Hessian."""
-    q = record.d - _split_p(record)
-    chart, xi = _finer_chart(record, 2)
-    H = chart_hessian(chart, xi)
-    out = []
-    for label in ("x", "y"):
-        r = orbit_coordinates(
-            chart, representative_entries(label, 1, q, chart.rep_rows, chart.rep_cols))
-        nrm2 = float(r @ r)
-        if np.sqrt(nrm2) < 1e-10:
-            raise RepresentativeDegenerate(f"{label}-representative has tiny norm")
-        out.append(float(r @ H @ r) / nrm2)
-    return out
+    """The number p of fixed coordinates of a record on a (q, 1^p) chart."""
+    _, *rest = record.chart.group.blocks
+    if any(b != 1 for b in rest):
+        raise UnsupportedFamily(
+            f"spectra support partitions (q, 1^p), got {record.chart.group.blocks}")
+    return len(rest)
 
 
 def full_spectrum(record):
     """All d^2 Hessian eigenvalues grouped by isotypic label."""
     d = record.d
     p = _split_p(record)
-    entries = []
-    for ev in t_block_spectrum(record):
-        entries.append((float(ev), 1, "t"))
-    for ev in s_block_spectrum(record):
-        entries.append((float(ev), d - p - 1, "s"))
     q = d - p
-    x, y = _xy_eigenvalues(record)
-    entries.append((x, (q - 1) * (q - 2) // 2, "x"))
-    entries.append((y, q * (q - 3) // 2, "y"))
-    total = sum(mult for _, mult, _ in entries)
+    mult = {"t": 1, "s": q - 1, "x": (q - 1) * (q - 2) // 2, "y": q * (q - 3) // 2}
+    entries = []
+    for c, labels in enumerate((("t",), ("s",), ("x", "y"))):
+        chart = build_chart(d, (q - c,) + (1,) * (p + c))
+        H = chart_hessian(chart, transfer(record.chart, record.xi, chart))
+        for label in labels:
+            w, V = np.linalg.eigh(chart_isotypic_projector(chart, label, range(q, d)))
+            Q = V[:, w > 0.5]
+            entries += [(float(ev), mult[label], label)
+                        for ev in np.linalg.eigvalsh(Q.T @ H @ Q)]
+    total = sum(m for _, m, _ in entries)
     if total != d * d:
         raise MultiplicityMismatch(f"multiplicities sum to {total}, expected {d * d}")
     return SpectrumReport(entries=tuple(entries), d=d)

@@ -3,9 +3,14 @@
 A permutation pi acts on W by simultaneous row and column permutation,
 W -> P W P^T.  This module builds orthonormal charts of the fixed-point
 subspaces of diagonal Young subgroups, the four isotypic projectors of the
-full diagonal action (labels t, s, x, y), canonical representative matrices
-for the nontrivial components, and a detector for the largest diagonal Young
-subgroup fixing a given matrix.
+full diagonal action (labels t, s, x, y), and a detector for the largest
+diagonal Young subgroup fixing a given matrix. The projectors exist twice:
+on d x d matrices (`isotypic_project`), and as dim x dim matrices on a
+chart, read off its orbit values (`chart_isotypic_projector`), which is
+what spectra and sphere labels use. The dense forms, with `embed`,
+`project` and `detect_diagonal_isotropy`, are the oracle the chart forms
+are tested against; the cluster labels of `tracer.minimal_eig_directions`
+and isotropy detection still use them.
 """
 
 import functools
@@ -369,66 +374,71 @@ def isotypic_project(M, label, special=()):
     return hollow - mu * (np.ones((d, d)) - np.eye(d)) - sym_part
 
 
-def representative(label, copy, d):
-    """Canonical unit-pattern matrix inside one irreducible copy.
+def chart_isotypic_projector(chart, label, special=()):
+    """The isotypic projector named by label, as a matrix on chart coordinates.
 
-    For label 's' the three copies are built from x = (1, ..., 1, -(d-1)):
-    copy 1 is diag(x), copy 2 the hollow symmetric matrix with entries
-    x_i + x_j, copy 3 the skew matrix with entries x_i - x_j; all three are
-    fixed by the (d-1, 1) block action.  For 'x' (one copy) the matrix is
-    the skew zero-row-sum pattern supported on the last two coordinates and
-    their complement; for 'y' the analogous hollow symmetric pattern.  Both
-    are fixed by the (d-2, 1, 1) block action.
+    Returns the read-only dim x dim matrix of
+    `project(chart, isotypic_project(embed(chart, .), label, special))`.
+    The projectors commute with every permutation of the non-special
+    indices, so each maps the chart's fixed-point space to itself; the
+    matrix is read off orbit values on `chart.layout`, with row and
+    column sums over the representatives, and no d x d array is formed.
+    `special` must name the chart's trailing singleton blocks (those
+    indices are then excluded from the permutation action). Memoized on
+    (chart, label, special).
     """
-    return representative_entries(label, copy, d, *np.indices((d, d)))
-
-
-def representative_entries(label, copy, d, i, j):
-    """Entries (i, j) of `representative(label, copy, d)`, for index arrays.
-
-    Indices may run past d: the pattern then sits in the top-left d x d
-    corner of a larger matrix and is zero elsewhere, so spectra can read
-    it on one entry per chart orbit without forming it.
-    """
-    if label == "t":
-        raise UnsupportedLabel("the trivial component has no single representative; build a chart")
-    if label not in ("s", "x", "y"):
+    if label not in ISOTYPIC_LABELS:
         raise UnsupportedLabel(f"unknown isotypic label {label!r}")
-    if d < 4:
-        raise DimensionMismatch("representatives require d >= 4")
-    i = np.asarray(i)
-    j = np.asarray(j)
+    special = tuple(sorted(set(int(i) for i in special)))
+    d, p = chart.d, len(special)
+    if d - p < 4:
+        raise DimensionMismatch("isotypic projection requires >= 4 permuted indices")
+    blocks = chart.group.blocks
+    if special != tuple(range(d - p, d)) or any(b != 1 for b in blocks[len(blocks) - p:]):
+        raise DimensionMismatch("special indices must name trailing singleton blocks")
+    return _chart_isotypic_projector(chart, label, p)
 
-    if label == "s":
-        if copy not in (1, 2, 3):
-            raise UnsupportedLabel("label 's' has copies 1, 2, 3")
-        x = lambda k: np.where(k < d - 1, 1.0, np.where(k == d - 1, -(d - 1.0), 0.0))
-        inside = (i < d) & (j < d)
-        if copy == 1:
-            return np.where(i == j, x(i), 0.0)
-        if copy == 2:
-            return np.where(inside & (i != j), x(i) + x(j), 0.0)
-        return np.where(inside, x(i) - x(j), 0.0)
 
-    if copy != 1:
-        raise UnsupportedLabel(f"label {label!r} has a single copy")
-    m = d - 2
-    bulk_i, bulk_j = i < m, j < m
-    pair_i, pair_j = (i == m) | (i == m + 1), (j == m) | (j == m + 1)
-    between = pair_i & pair_j & (i != j)
-    if label == "x":
-        sign = lambda k: np.where(k == m, 1.0, -1.0)
-        return np.select(
-            [bulk_i & pair_j, pair_i & bulk_j, between],
-            [-sign(j) / m, sign(i) / m, -sign(i)],
-            0.0,
-        )
-    # label == "y"
-    return np.select(
-        [bulk_i & bulk_j & (i != j), (bulk_i & pair_j) | (pair_i & bulk_j), between],
-        [2.0 / (m * (d - 3)), -1.0 / m, 1.0],
-        0.0,
-    )
+@functools.lru_cache(maxsize=256)
+def _chart_isotypic_projector(chart, label, p):
+    lay = chart.layout
+    d = chart.d - p  # the number of permuted indices
+    permuted = np.arange(lay.row_weights.size) < lay.row_weights.size - p
+    col_w = np.where(permuted[lay.block_of], lay.weights, 0.0)
+    row_w = np.where(permuted, lay.row_weights, 0.0)
+    # per basis matrix (axis 0) and block (axis 1): the diagonal entry, and
+    # row and column sums over the permuted indices, at the block's row
+    D, rr = lay.directions, lay.row_reps
+    diag = D[:, rr, rr]
+    rows = D[:, rr, :] @ col_w
+    cols = col_w @ D[:, :, rr]
+    trace = (diag @ row_w)[:, None] / d
+    hollow = 0.5 * (rows + cols) - diag  # symmetric off-diagonal row sums
+    mu = (hollow @ row_w)[:, None] / (d * (d - 1))
+    sp = (hollow - (d - 1) * mu) / (d - 2)
+    r = 0.5 * (rows - cols) / d
+    # each output orbit is read at its representative entry (i, j)
+    a, c = lay.out_row, lay.out_col
+    b = lay.block_of[c]
+    Mij, Mji = D[:, rr[a], c], D[:, c, rr[a]]
+    on_diag = c == rr[a]
+    both = permuted[a] & permuted[b]
+    row_only = permuted[a] & ~permuted[b]  # column special
+    col_only = ~permuted[a] & permuted[b]  # row special
+    if label == "t":
+        out = np.select([both & on_diag, both, row_only, col_only],
+                        [trace, mu, cols[:, b] / d, rows[:, a] / d], Mij)
+    elif label == "s":
+        out = np.select([both & on_diag, both, row_only, col_only],
+                        [diag[:, a] - trace, sp[:, a] + sp[:, b] + r[:, a] - r[:, b],
+                         Mij - cols[:, b] / d, Mij - rows[:, a] / d], 0.0)
+    elif label == "x":
+        out = np.where(both & ~on_diag, 0.5 * (Mij - Mji) - r[:, a] + r[:, b], 0.0)
+    else:
+        out = np.where(both & ~on_diag, 0.5 * (Mij + Mji) - mu - sp[:, a] - sp[:, b], 0.0)
+    P = (out * lay.sqrt_sizes).T
+    P.setflags(write=False)
+    return P
 
 
 def _fixing_pairs(W, F, U, tol):

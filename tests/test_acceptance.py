@@ -216,7 +216,7 @@ def test_criterion_7_sphere_minimum_rate_and_arc_agreement():
         if rel > 0.10:
             failures.append(f"{fam}: rate off by {rel:.3f}")
         cfg = TraceConfig(delta_r=1e-3, r_max=0.02)
-        arcs = [trace_arc(chart, rec, s * embed(chart, v), cfg)
+        arcs = [trace_arc(chart, rec, s * v, cfg)
                 for v in dirs for s in (1.0, -1.0)]
         for rr in (1e-3, 1e-2):
             _, m = sphere_extremize(chart, rec, rr)

@@ -10,29 +10,13 @@ from tangency_lab.atlas import (
     chart_point,
 )
 from tangency_lab.errors import DegenerateVector, DimensionMismatch, NearParallelRows
-from tangency_lab.kernel import grad_loss, hvp, kernel_phi, loss
+from tangency_lab.kernel import grad_loss, hvp, loss
 from tangency_lab.symmetry import YoungPartitionGroup, build_chart, embed, project
 
 
 def random_matrix(d, seed, scale=1.0):
     rng = np.random.default_rng(seed)
     return scale * rng.normal(size=(d, d))
-
-
-def test_phi_aligned_vectors():
-    w = np.array([0.0, 2.0, 0.0, 0.0])
-    assert kernel_phi(w, 3 * w) == pytest.approx(12.0, abs=1e-12)
-
-
-def test_phi_orthogonal_vectors():
-    w = np.array([1.0, 0.0, 0.0, 0.0])
-    v = np.array([0.0, 1.0, 0.0, 0.0])
-    assert kernel_phi(w, v) == pytest.approx(1.0 / np.pi, abs=1e-12)
-
-
-def test_phi_antiparallel_vanishes():
-    w = np.array([1.0, 1.0, 0.0, 0.0])
-    assert kernel_phi(w, -w) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_loss_at_teacher_is_zero():

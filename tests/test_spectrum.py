@@ -4,8 +4,14 @@ import numpy as np
 import pytest
 
 import tangency_lab.spectrum as spectrum_module
-from tangency_lab import kernel
-from tangency_lab.atlas import FAMILIES, refine_critical, refined_minimum, seed_minimum
+from tangency_lab import kernel, symmetry
+from tangency_lab.atlas import (
+    FAMILIES,
+    CriticalPointRecord,
+    refine_critical,
+    refined_minimum,
+    seed_minimum,
+)
 from tangency_lab.errors import TooLarge
 from tangency_lab.spectrum import (
     brute_spectrum,
@@ -13,7 +19,7 @@ from tangency_lab.spectrum import (
     full_spectrum,
     predicted_spectrum,
 )
-from tangency_lab.symmetry import embed, representative
+from tangency_lab.symmetry import build_chart, embed, isotypic_project, project
 
 
 @pytest.fixture(scope="module")
@@ -156,65 +162,77 @@ def test_brute_spectrum_on_identity_is_positive():
     assert evs == sorted(evs)
 
 
-def _dense_s_x_y(rec):
-    """s, x and y eigenvalues from d x d representatives and dense hvp."""
+def _dense_component_eigenvalues(rec, label, c):
+    """One component's eigenvalues from d x d matrices and dense hvp.
+
+    The dense projector maps the basis of the (q-c, 1^(p+c)) chart onto
+    the component; the Hessian is compressed onto an orthonormal basis
+    of that range.
+    """
     d = rec.d
-    p = d - rec.chart.group.blocks[0]
-    q = d - p
-    W = embed(rec.chart, rec.xi)
-
-    def top_left(R):
-        M = np.zeros((d, d))
-        M[:q, :q] = R
-        return M
-
-    copies = [top_left(representative("s", c, q)) for c in (1, 2, 3)]
-    u = np.diag(representative("s", 1, q))
-    for f in range(q, d):
-        for axis in (0, 1):
-            M = np.zeros((d, d))
-            if axis == 0:
-                M[:q, f] = u
-            else:
-                M[f, :q] = u
-            copies.append(M)
-    C = np.array(copies)
-    C /= np.linalg.norm(C, axis=(1, 2))[:, None, None]
-    alpha = np.tensordot(kernel.hvp(W, C), C, axes=([1, 2], [1, 2]))
-    s = np.linalg.eigvalsh(0.5 * (alpha + alpha.T))
-    xy = []
-    for label in ("x", "y"):
-        R = top_left(representative(label, 1, q))
-        xy.append(float(np.sum(kernel.hvp(W, R) * R) / np.sum(R * R)))
-    return s, xy
+    q = rec.chart.group.blocks[0]
+    chart = build_chart(d, (q - c,) + (1,) * (d - q + c))
+    A = np.array([isotypic_project(B, label, special=range(q, d)) for B in chart.basis])
+    U, sv, _ = np.linalg.svd(A.reshape(len(A), -1).T, full_matrices=False)
+    R = U[:, sv > 1e-8].T.reshape(-1, d, d)
+    HR = kernel.hvp(embed(rec.chart, rec.xi), R)
+    alpha = np.tensordot(R, HR, axes=([1, 2], [1, 2]))
+    return np.linalg.eigvalsh(0.5 * (alpha + alpha.T))
 
 
-def test_chart_spectrum_matches_dense_representatives_at_d20():
+def test_chart_spectrum_matches_dense_isotypic_ranges_at_d20():
     for fam in FAMILIES:
-        rep = full_spectrum(refined_minimum(fam, 20))
-        s, (x, y) = _dense_s_x_y(refined_minimum(fam, 20))
-        got = {lab: [ev for ev, _, l in rep.entries if l == lab] for lab in "sxy"}
-        np.testing.assert_allclose(got["s"], s, rtol=1e-10, atol=1e-12)
-        assert got["x"][0] == pytest.approx(x, rel=1e-10, abs=1e-12)
-        assert got["y"][0] == pytest.approx(y, rel=1e-10, abs=1e-12)
+        rec = refined_minimum(fam, 20)
+        rep = full_spectrum(rec)
+        for label, c in (("t", 0), ("s", 1), ("x", 2), ("y", 2)):
+            got = [ev for ev, _, lab in rep.entries if lab == label]
+            np.testing.assert_allclose(got, _dense_component_eigenvalues(rec, label, c),
+                                       rtol=1e-10, atol=1e-12, err_msg=f"{fam} {label}")
+
+
+def test_spectrum_at_a_noncritical_point_with_two_fixed_coordinates():
+    # the Hessian at any point fixed by S_5 x 1 x 1 commutes with that
+    # group, so the labeled spectrum holds there too
+    d = 7
+    chart = build_chart(d, (5, 1, 1))
+    rng = np.random.default_rng(7)
+    xi = project(chart, np.eye(d)) + 0.3 * rng.normal(size=chart.dim)
+    W = embed(chart, xi)
+    rec = CriticalPointRecord(family="C0I", d=d, chart=chart, xi=xi,
+                              loss_value=kernel.loss(W), grad_norm=np.nan, type_label="I")
+    rep = full_spectrum(rec)
+    mults = {}
+    for _, m, lab in rep.entries:
+        mults.setdefault(lab, []).append(m)
+    assert mults == {"t": [1] * 10, "s": [4] * 7, "x": [6], "y": [5]}
+    np.testing.assert_allclose(expand_report(rep), brute_spectrum(W), rtol=0, atol=1e-10)
 
 
 def test_spectrum_at_d1000_forms_no_dense_kernel_call(monkeypatch):
     # refinement and spectrum run on chart orbits only: every binding of
-    # the d x d kernel in the package raises
+    # the d x d kernel in the package raises, and for the spectra so do
+    # the d x d embedding and isotypic projection
     def forbidden(*args, **kwargs):
-        raise AssertionError("dense kernel called")
+        raise AssertionError("dense function called")
 
-    dense = {fn: getattr(kernel, fn) for fn in ("loss", "grad_loss", "hvp")}
-    for name, module in list(sys.modules.items()):
-        if name.startswith("tangency_lab"):
-            for fn, original in dense.items():
-                if getattr(module, fn, None) is original:
-                    monkeypatch.setattr(module, fn, forbidden)
+    def forbid(source, names):
+        dense = {fn: getattr(source, fn) for fn in names}
+        for name, module in list(sys.modules.items()):
+            if name.startswith("tangency_lab"):
+                for fn, original in dense.items():
+                    if getattr(module, fn, None) is original:
+                        monkeypatch.setattr(module, fn, forbidden)
+
+    forbid(kernel, ("loss", "grad_loss", "hvp"))
     assert spectrum_module.hvp is forbidden
     d = 1000
-    for fam in FAMILIES:
-        rep = full_spectrum(refine_critical(*seed_minimum(fam, d)))
+    # the C1II seed checks its isotropy on the d x d matrix, so the dense
+    # symmetry functions are forbidden only once the records are refined
+    records = {fam: refine_critical(*seed_minimum(fam, d)) for fam in FAMILIES}
+    forbid(symmetry, ("embed", "isotypic_project"))
+    assert symmetry.embed is forbidden
+    for fam, rec in records.items():
+        rep = full_spectrum(rec)
         pred = predicted_spectrum(fam, d)
         assert sum(m for _, m, _ in rep.entries) == d * d
         assert min(ev for ev, _, _ in rep.entries) > 0

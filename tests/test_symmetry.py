@@ -9,11 +9,11 @@ from tangency_lab.symmetry import (
     ISOTYPIC_LABELS,
     YoungPartitionGroup,
     build_chart,
+    chart_isotypic_projector,
     detect_diagonal_isotropy,
     embed,
     isotypic_project,
     project,
-    representative,
     transfer,
 )
 
@@ -209,24 +209,58 @@ def test_adapted_special_validation():
         isotypic_project(np.eye(6), "s", special=(0, 1, 2))
 
 
-# ------------------------------------------------------------ representatives
+# ------------------------------------------------------ projectors on charts
+
+# the partitions of test_orbit_path_matches_dense_oracle
+CHART_PARTITIONS = [(7,), (6, 1), (5, 1, 1), (2, 2, 3), (1, 6), (3, 1, 2, 1),
+                    (20,), (17, 1, 1, 1), (5, 4, 3), (100,), (99, 1), (98, 1, 1)]
 
 
-def test_representatives_live_in_their_component():
-    d = 7
-    copies = {"s": 3, "x": 1, "y": 1}
-    for lab, n in copies.items():
-        for c in range(1, n + 1):
-            R = representative(lab, c, d)
-            assert np.linalg.norm(R) > 1e-8
-            proj = isotypic_project(R, lab)
-            assert np.linalg.norm(proj - R) <= 1e-12
+def _trailing_specials(blocks):
+    """No special index, then each run of the chart's trailing singletons."""
+    d = sum(blocks)
+    ones = next((i for i, b in enumerate(reversed(blocks)) if b != 1), len(blocks))
+    return [tuple(range(d - p, d)) for p in range(ones + 1) if d - p >= 4]
 
 
-def test_representative_copies_are_independent():
-    d = 7
-    mats = [representative("s", c, d).ravel() for c in (1, 2, 3)]
-    assert np.linalg.matrix_rank(np.stack(mats), tol=1e-10) == 3
+@pytest.mark.parametrize("blocks", CHART_PARTITIONS)
+def test_chart_projector_matches_dense_oracle(blocks):
+    d = sum(blocks)
+    chart = build_chart(d, YoungPartitionGroup(blocks))
+    for special in _trailing_specials(blocks):
+        for lab in ISOTYPIC_LABELS:
+            P = chart_isotypic_projector(chart, lab, special)
+            dense = np.column_stack([project(chart, isotypic_project(B, lab, special=special))
+                                     for B in chart.basis])
+            assert np.max(np.abs(P - dense)) <= 1e-12, (special, lab)
+
+
+@pytest.mark.parametrize("blocks", CHART_PARTITIONS)
+def test_chart_projectors_decompose_the_chart(blocks):
+    # symmetric, idempotent, mutually orthogonal and summing to the identity
+    d = sum(blocks)
+    chart = build_chart(d, YoungPartitionGroup(blocks))
+    for special in _trailing_specials(blocks):
+        Ps = [chart_isotypic_projector(chart, lab, special) for lab in ISOTYPIC_LABELS]
+        for P in Ps:
+            assert not P.flags.writeable
+            assert np.max(np.abs(P - P.T)) <= 1e-12
+            assert np.max(np.abs(P @ P - P)) <= 1e-12
+        for P, R in itertools.combinations(Ps, 2):
+            assert np.max(np.abs(P @ R)) <= 1e-12
+        assert np.max(np.abs(sum(Ps) - np.eye(chart.dim))) <= 1e-12
+        assert chart_isotypic_projector(chart, "s", list(special)) is Ps[1]
+
+
+def test_chart_projector_validation():
+    chart = build_chart(7, YoungPartitionGroup((4, 1, 2)))
+    with pytest.raises(UnsupportedLabel):
+        chart_isotypic_projector(chart, "z")
+    for special in ((4,), (6,), (5, 6)):  # not singleton blocks at the end
+        with pytest.raises(DimensionMismatch):
+            chart_isotypic_projector(chart, "t", special)
+    with pytest.raises(DimensionMismatch):  # three permuted indices
+        chart_isotypic_projector(build_chart(6, (3, 1, 1, 1)), "t", (3, 4, 5))
 
 
 # ----------------------------------------------------------------- detection

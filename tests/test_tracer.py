@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import warnings
 
@@ -13,7 +14,7 @@ from tangency_lab.atlas import (
     refined_minimum,
     seed_minimum,
 )
-from tangency_lab.errors import BadDirection, InsufficientSamples
+from tangency_lab.errors import BadDirection, DimensionMismatch
 from tangency_lab.kernel import loss
 from tangency_lab.symmetry import (
     YoungPartitionGroup,
@@ -23,17 +24,14 @@ from tangency_lab.symmetry import (
     transfer,
 )
 from tangency_lab.tracer import (
-    ArcRecord,
     TraceConfig,
     _newton_solve,
-    arc_from_json,
     arc_radius_table,
     arc_to_csv,
     arc_to_json,
     continue_arc,
     minimal_eig_directions,
     sphere_extremize,
-    tangent_direction,
     trace_arc,
 )
 
@@ -48,12 +46,6 @@ def c0i_record():
 def c1ii_record():
     chart, xi0 = seed_minimum("C1II", 7)
     return refine_critical(chart, xi0)
-
-
-def eig_direction(chart, record, idx):
-    H = chart_hessian(chart, _project_center(chart, record))
-    _, vecs = np.linalg.eigh(H)
-    return embed(chart, vecs[:, idx])
 
 
 def _project_center(chart, record):
@@ -172,13 +164,12 @@ def test_trace_arc_rejects_bad_directions(c0i_record):
     _, vecs = np.linalg.eigh(H)
     mixed = (vecs[:, 0] + vecs[:, -1]) / np.sqrt(2.0)
     with pytest.raises(BadDirection):
-        trace_arc(chart, c0i_record, embed(chart, mixed))
+        trace_arc(chart, c0i_record, mixed)
     with pytest.raises(BadDirection):
-        trace_arc(chart, c0i_record, 2.0 * embed(chart, vecs[:, 0]))
-    off_span = np.zeros((7, 7))
-    off_span[0, 1] = 1.0
-    with pytest.raises(BadDirection):
-        trace_arc(chart, c0i_record, off_span)
+        trace_arc(chart, c0i_record, 2.0 * vecs[:, 0])
+    # a d x d matrix is not a direction in chart coordinates
+    with pytest.raises(DimensionMismatch):
+        trace_arc(chart, c0i_record, embed(chart, vecs[:, 0]))
 
 
 def test_arc_from_sparse_minimum_k1(c0i_record):
@@ -190,7 +181,7 @@ def test_arc_from_sparse_minimum_k1(c0i_record):
     best = np.inf
     for v in dirs:
         for s in (1.0, -1.0):
-            arc = trace_arc(chart, c0i_record, s * embed(chart, v), cfg)
+            arc = trace_arc(chart, c0i_record, s * v, cfg)
             center = arc.center_xi
             radii = [r for r, _, _ in arc.samples]
             assert all(b > a for a, b in zip(radii, radii[1:]))
@@ -212,7 +203,7 @@ def test_arc_from_dense_type_ii_minimum_k2(c1ii_record):
     assert len(dirs) == 1
     best = np.inf
     for s in (1.0, -1.0):
-        arc = trace_arc(chart, c1ii_record, s * embed(chart, dirs[0]))
+        arc = trace_arc(chart, c1ii_record, s * dirs[0])
         if arc.termination != "ReachedRmax":
             best = min(best, arc.terminal_radius)
     assert best == pytest.approx(0.31, abs=0.05)
@@ -222,40 +213,38 @@ def test_trace_is_deterministic(c1ii_record):
     chart = build_chart(7, YoungPartitionGroup((6, 1)))
     H = chart_hessian(chart, _project_center(chart, c1ii_record))
     dirs, _ = minimal_eig_directions(chart, H)
-    v = embed(chart, dirs[0])
+    v = dirs[0]
     a = json.dumps(arc_to_json(trace_arc(chart, c1ii_record, v)), sort_keys=True)
     b = json.dumps(arc_to_json(trace_arc(chart, c1ii_record, v)), sort_keys=True)
     assert a == b
 
 
-def test_tangent_direction_matches_launch(c0i_record):
+def test_arc_launches_along_its_direction(c0i_record):
     chart = build_chart(7, YoungPartitionGroup((6, 1)))
     H = chart_hessian(chart, _project_center(chart, c0i_record))
     dirs, _ = minimal_eig_directions(chart, H)
-    v = embed(chart, dirs[0])
-    arc = trace_arc(chart, c0i_record, v)
-    t = tangent_direction(arc)
-    assert np.linalg.norm(t - v) <= 1e-3
-    short = ArcRecord(chart=arc.chart, center_xi=arc.center_xi,
-                      samples=arc.samples[:2], termination="ReachedRmax",
-                      terminal_radius=arc.samples[1][0])
-    with pytest.raises(InsufficientSamples):
-        tangent_direction(short)
+    arc = trace_arc(chart, c0i_record, dirs[0], TraceConfig(r_max=0.05))
+    r1, xi1, _ = arc.samples[0]
+    assert np.linalg.norm((xi1 - arc.center_xi) / r1 - dirs[0]) <= 1e-3
 
 
-def test_arc_json_roundtrip(c0i_record):
+def test_arc_json_holds_every_sample_exactly(c0i_record):
     chart = build_chart(7, YoungPartitionGroup((6, 1)))
     H = chart_hessian(chart, _project_center(chart, c0i_record))
     dirs, _ = minimal_eig_directions(chart, H)
     cfg = TraceConfig(r_max=0.5)
-    arc = trace_arc(chart, c0i_record, embed(chart, dirs[0]), cfg)
-    again = arc_from_json(arc_to_json(arc, cfg))
-    assert again.termination == arc.termination
-    assert again.terminal_radius == arc.terminal_radius
-    assert len(again.samples) == len(arc.samples)
-    for (r1, x1, l1), (r2, x2, l2) in zip(arc.samples, again.samples):
-        assert r1 == r2 and l1 == l2
-        assert np.array_equal(x1, x2)
+    arc = trace_arc(chart, c0i_record, dirs[0], cfg)
+    obj = arc_to_json(arc, cfg)
+    assert obj["blocks"] == [6, 1] and obj["d"] == 7
+    assert obj["config"] == dataclasses.asdict(cfg)
+    assert obj["termination"] == arc.termination
+    assert obj["terminal_radius"] == arc.terminal_radius
+    assert np.array_equal(obj["center_xi"], arc.center_xi)
+    assert obj["radii"] == [r for r, _, _ in arc.samples]
+    assert obj["lambda"] == [lam for _, _, lam in arc.samples]
+    assert len(obj["xi"]) == len(arc.samples)
+    for x, (_, xi, _) in zip(obj["xi"], arc.samples):
+        assert np.array_equal(x, xi)
     text = arc_to_csv(arc)
     lines = text.strip().splitlines()
     assert lines[0] == "r,loss,lambda"
@@ -280,7 +269,7 @@ def test_sphere_minimum_agrees_with_arc_sample(c0i_record):
     H = chart_hessian(chart, _project_center(chart, c0i_record))
     dirs, _ = minimal_eig_directions(chart, H)
     cfg = TraceConfig(delta_r=1e-3, r_max=0.02)
-    arcs = [trace_arc(chart, c0i_record, s * embed(chart, v), cfg)
+    arcs = [trace_arc(chart, c0i_record, s * v, cfg)
             for v in dirs for s in (1.0, -1.0)]
     for r in (1e-3, 1e-2):
         _, m_r = sphere_extremize(chart, c0i_record, r)
