@@ -19,6 +19,34 @@ def random_matrix(d, seed, scale=1.0):
     return scale * rng.normal(size=(d, d))
 
 
+# The arccos kernel phi(w, v) = (1/pi)|w||v|(sin t + (pi - t) cos t) enters
+# the loss as k = phi/2.  Each check below picks a W whose loss isolates the
+# kernel at one angle, so the expected value also follows from
+# E[relu(a) relu(b)] for standard Gaussian inputs.
+
+
+def test_phi_aligned_vectors():
+    # only row 0 differs from the teacher: 0.5 (k(3e,3e) - 2k(3e,e) + k(e,e))
+    # with phi(w, c w) = c |w|^2, i.e. 0.5 E[(relu(3x) - relu(x))^2] = 1
+    assert loss(np.diag([3.0, 1.0, 1.0, 1.0])) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_phi_orthogonal_vectors():
+    # scaling two rows adds one cross pair between orthogonal rows,
+    # 2 * 0.5 * (3 - 1)^2 * k(e_0, e_1), with phi(e_0, e_1) = 1/pi
+    one = loss(np.diag([3.0, 1.0, 1.0, 1.0]))
+    two = loss(np.diag([3.0, 3.0, 1.0, 1.0]))
+    assert two - 2 * one == pytest.approx(2.0 / np.pi, abs=1e-12)
+
+
+def test_phi_antiparallel_vanishes():
+    # a flipped row leaves 0.5 (k(-e,-e) + k(e,e)) - k(-e,e) = 1/2 - k(-e,e),
+    # and relu(-x) - relu(x) = -x gives 0.5 E[x^2] = 1/2
+    assert loss(np.diag([-1.0, 1.0, 1.0, 1.0])) == pytest.approx(0.5, abs=1e-12)
+    for d in (4, 7):
+        assert loss(-np.eye(d)) == pytest.approx(d / 2, abs=1e-12)
+
+
 def test_loss_at_teacher_is_zero():
     for d in (4, 7, 11):
         assert abs(loss(np.eye(d))) <= 1e-12

@@ -166,8 +166,8 @@ def _dense_component_eigenvalues(rec, label, c):
     """One component's eigenvalues from d x d matrices and dense hvp.
 
     The dense projector maps the basis of the (q-c, 1^(p+c)) chart onto
-    the component; the Hessian is compressed onto an orthonormal basis
-    of that range.
+    the component; the Hessian is compressed onto representatives that
+    form an orthonormal basis of that range.
     """
     d = rec.d
     q = rec.chart.group.blocks[0]
@@ -180,7 +180,7 @@ def _dense_component_eigenvalues(rec, label, c):
     return np.linalg.eigvalsh(0.5 * (alpha + alpha.T))
 
 
-def test_chart_spectrum_matches_dense_isotypic_ranges_at_d20():
+def test_chart_spectrum_matches_dense_representatives_at_d20():
     for fam in FAMILIES:
         rec = refined_minimum(fam, 20)
         rep = full_spectrum(rec)

@@ -263,6 +263,39 @@ def test_chart_projector_validation():
         chart_isotypic_projector(build_chart(6, (3, 1, 1, 1)), "t", (3, 4, 5))
 
 
+# ------------------------------------------------------------ representatives
+
+
+def _representatives(chart, label):
+    """An orthonormal basis of the projector's range, embedded as d x d matrices."""
+    w, V = np.linalg.eigh(chart_isotypic_projector(chart, label))
+    return [embed(chart, v) for v in V[:, w > 0.5].T]
+
+
+def test_representatives_live_in_their_component():
+    d = 7
+    copies = {"s": 3, "x": 1, "y": 1}
+    for lab, n in copies.items():
+        chart = build_chart(d, (6, 1) if lab == "s" else (5, 1, 1))
+        reps = _representatives(chart, lab)
+        assert len(reps) == n
+        for R in reps:
+            assert np.linalg.norm(R) > 1e-8
+            proj = isotypic_project(R, lab)
+            assert np.linalg.norm(proj - R) <= 1e-12
+
+
+def test_representative_copies_are_independent():
+    d = 7
+    mats = [R.ravel() for R in _representatives(build_chart(d, (6, 1)), "s")]
+    assert np.linalg.matrix_rank(np.stack(mats), tol=1e-10) == 3
+    # the copies of all four components together span the chart
+    chart = build_chart(d, (5, 1, 1))
+    mats = [R.ravel() for lab in ISOTYPIC_LABELS for R in _representatives(chart, lab)]
+    assert len(mats) == chart.dim
+    assert np.linalg.matrix_rank(np.stack(mats), tol=1e-10) == chart.dim
+
+
 # ----------------------------------------------------------------- detection
 
 

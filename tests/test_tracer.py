@@ -219,7 +219,7 @@ def test_trace_is_deterministic(c1ii_record):
     assert a == b
 
 
-def test_arc_launches_along_its_direction(c0i_record):
+def test_tangent_direction_matches_launch(c0i_record):
     chart = build_chart(7, YoungPartitionGroup((6, 1)))
     H = chart_hessian(chart, _project_center(chart, c0i_record))
     dirs, _ = minimal_eig_directions(chart, H)
@@ -228,13 +228,13 @@ def test_arc_launches_along_its_direction(c0i_record):
     assert np.linalg.norm((xi1 - arc.center_xi) / r1 - dirs[0]) <= 1e-3
 
 
-def test_arc_json_holds_every_sample_exactly(c0i_record):
+def test_arc_json_roundtrip(c0i_record):
     chart = build_chart(7, YoungPartitionGroup((6, 1)))
     H = chart_hessian(chart, _project_center(chart, c0i_record))
     dirs, _ = minimal_eig_directions(chart, H)
     cfg = TraceConfig(r_max=0.5)
     arc = trace_arc(chart, c0i_record, dirs[0], cfg)
-    obj = arc_to_json(arc, cfg)
+    obj = json.loads(json.dumps(arc_to_json(arc, cfg)))
     assert obj["blocks"] == [6, 1] and obj["d"] == 7
     assert obj["config"] == dataclasses.asdict(cfg)
     assert obj["termination"] == arc.termination
