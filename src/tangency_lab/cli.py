@@ -355,19 +355,19 @@ def cmd_sphere(args, outdir):
         dominant = max(sorted(norms), key=lambda lab: norms[lab])
         return iso, dominant
 
+    modes = ("min", "max") if args.mode == "both" else (args.mode,)
+    problems = [(float(r), mode) for r in radii for mode in modes]
+    results = iter(sphere_extremize(chart, rec, problems, n_starts=n_starts, seed=args.seed))
     rows = []
     for r in radii:
         row = {"r": float(r), "loss_center": rec.loss_value}
-        if args.mode in ("min", "both"):
-            xi, val = sphere_extremize(chart, rec, float(r), mode="min",
-                                       n_starts=n_starts, seed=args.seed)
+        for mode in modes:
+            xi, val = next(results)
             iso, lab = describe(xi)
-            row.update(m_r=val, min_isotropy=iso, min_label=lab)
-        if args.mode in ("max", "both"):
-            xi, val = sphere_extremize(chart, rec, float(r), mode="max",
-                                       n_starts=n_starts, seed=args.seed)
-            iso, lab = describe(xi)
-            row.update(M_r=val, max_isotropy=iso, max_label=lab)
+            if mode == "min":
+                row.update(m_r=val, min_isotropy=iso, min_label=lab)
+            else:
+                row.update(M_r=val, max_isotropy=iso, max_label=lab)
         rows.append(row)
 
     name = f"sphere_{family}_d{d}_k{k}"

@@ -16,7 +16,6 @@ from .atlas import (
     chart_gradient,
     chart_gradient_hessian,
     chart_hessian,
-    chart_loss,
     chart_point,
     refined_minimum,
 )
@@ -257,61 +256,105 @@ def _row_dot(a, b):
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def sphere_extremize(chart, center, r, mode="min", n_starts=8, seed=0):
-    """Extremize the loss over the chart sphere |xi - center| = r.
+def sphere_extremize(chart, center, problems, n_starts=8, seed=0):
+    """Extremize the loss over chart spheres |xi - center| = r.
 
-    Multi-start projected gradient with Armijo backtracking; the first
-    two starts are the extremal eigenvectors of the restricted Hessian
-    at the center, the rest are seeded random directions. Returns
-    (xi, value) of the best stationary point found.
+    `problems` is a sequence of (r, mode) pairs, mode 'min' or 'max'.
+    Each is solved by multi-start projected gradient with Armijo
+    backtracking: the first two starts are the extremal eigenvectors of
+    the restricted Hessian at the center, the rest are directions drawn
+    from `default_rng(seed)`. Returns one (xi, value) per problem, the
+    best stationary point found, in order.
+
+    All problems share one descent and each gets the bits it gets alone.
+    When a problem's evaluation raises, it and the problems after it leave
+    the descent while those before it run on; its error is raised once
+    they are solved, as when the problems are solved one by one.
     """
-    if mode not in ("min", "max"):
-        raise ValueError("mode must be 'min' or 'max'")
+    problems = list(problems)
+    for r, mode in problems:
+        if mode not in ("min", "max"):
+            raise ValueError("mode must be 'min' or 'max'")
+        if r <= 0:
+            raise ValueError("need r > 0")
     if n_starts < 8:
         raise ValueError("need n_starts >= 8")
-    if r <= 0:
-        raise ValueError("need r > 0")
+    if not problems:
+        return []
     center_xi = transfer(center.chart, center.xi, chart)
     n = chart.dim
-    sign = 1.0 if mode == "min" else -1.0
 
-    Hc = chart_hessian(chart, center_xi)
-    evals, evecs = np.linalg.eigh(Hc)
-    pick = 0 if mode == "min" else -1
-    rng = np.random.default_rng(seed)
-    dirs = [evecs[:, pick], -evecs[:, pick]]
-    while len(dirs) < n_starts:
-        v = rng.normal(size=n)
-        dirs.append(v / np.linalg.norm(v))
+    evals, evecs = np.linalg.eigh(chart_hessian(chart, center_xi))
+    dirs, alpha0 = [], []
+    for r, mode in problems:
+        pick = 0 if mode == "min" else -1
+        rng = np.random.default_rng(seed)
+        start = len(dirs)
+        dirs += [evecs[:, pick], -evecs[:, pick]]
+        while len(dirs) - start < n_starts:
+            v = rng.normal(size=n)
+            dirs.append(v / np.linalg.norm(v))
+        alpha0.append(r / (1.0 + abs(evals[pick]) * r))
 
-    # The starts descend in lockstep. Each keeps its own step alpha, loss,
-    # halving count and step count, and each round evaluates the Armijo
-    # trials of all starts still searching as one stack, then the
-    # gradients of the starts that accepted theirs. A row of a stack gets
-    # the bits of its point evaluated alone, so every start takes the
-    # path it takes by itself.
+    # The starts of every problem descend in lockstep. Each keeps its own
+    # step alpha, loss, halving count and step count, and each round
+    # evaluates the Armijo trials of all starts still searching as one
+    # stack, then the gradients of the starts that accepted theirs. A row
+    # of a stack gets the bits of its point evaluated alone, so every
+    # start takes the path it takes by itself.
     budget = 100_000
     S = len(dirs)
-    X = center_xi + r * np.array(dirs)
-    alpha = np.full(S, r / (1.0 + abs(evals[pick]) * r))
+    problem = np.repeat(np.arange(len(problems)), n_starts)
+    radius = np.array([r for r, _ in problems], dtype=float)[problem]
+    r2 = radius * radius
+    sign = np.array([1.0 if mode == "min" else -1.0 for _, mode in problems])[problem]
+    X = center_xi + radius[:, None] * np.array(dirs)
+    alpha = np.array(alpha0)[problem]
     U, GT = np.empty_like(X), np.empty_like(X)
-    gn = np.empty(S)
+    f, gn = np.empty(S), np.empty(S)
     halvings = np.zeros(S, dtype=int)
     steps = np.zeros(S, dtype=int)
     # the evaluated stack holding each start's current point, and its row:
     # its gradient and the polish's start read that evaluation
-    current = [None] * S
+    stack_of = np.empty(S, dtype=object)
+    row_of = np.empty(S, dtype=int)
+    failed, error = len(problems), None  # the first problem that raised, and its error
+
+    def drop_failing(rows, evaluate):
+        # a stacked call over these rows raised: make it for each problem
+        # among them alone, in order, evaluate(mask), until one raises; that
+        # one and the problems after it leave. Returns the mask of the rows
+        # that stay.
+        nonlocal failed, error
+        for p in np.unique(problem[rows]):
+            try:
+                evaluate(problem[rows] == p)
+            except TangencyLabError as e:
+                failed, error = p, e
+                break
+        return problem[rows] < failed
+
     fresh = np.arange(S)  # starts at a new point, whose gradient comes next
-    found = chart_point(chart, X)  # the points of the fresh starts
-    f = found.loss().copy()
+    found = None  # the evaluated points of the fresh starts, None before the first round
     searching = fresh[:0]
     while True:
         if fresh.size:
-            g = found.gradient()
-            for j, s in enumerate(fresh):
-                current[s] = (found, j)
+            try:
+                if found is None:
+                    found = chart_point(chart, X[fresh])
+                    f[fresh] = found.loss()
+                g = found.gradient()
+            except TangencyLabError:
+                keep = drop_failing(fresh, lambda m: chart_point(chart, X[fresh[m]]).gradient())
+                if keep.all():
+                    raise
+                # the other problems' points are evaluated again, to the same bits
+                fresh, searching, found = fresh[keep], searching[problem[searching] < failed], None
+                continue
+            stack_of[fresh] = found
+            row_of[fresh] = np.arange(fresh.size)
             u = X[fresh] - center_xi
-            gt = sign * (g - (_row_dot(g, u) / (r * r))[:, None] * u)
+            gt = sign[fresh, None] * (g - (_row_dot(g, u) / r2[fresh])[:, None] * u)
             gn_fresh = np.sqrt(_row_dot(gt, gt))
             go = (steps[fresh] < budget) & ~(
                 gn_fresh <= 1e-6 * np.maximum(1.0, np.sqrt(_row_dot(g, g))))
@@ -326,10 +369,17 @@ def sphere_extremize(chart, center, r, mode="min", n_starts=8, seed=0):
         # decrease mean it fell below the loss rounding floor
         rows = searching
         u_new = U[rows] - alpha[rows, None] * GT[rows]
-        X_new = center_xi + (r / np.sqrt(_row_dot(u_new, u_new)))[:, None] * u_new
-        trials = chart_point(chart, X_new)
+        X_new = center_xi + (radius[rows] / np.sqrt(_row_dot(u_new, u_new)))[:, None] * u_new
+        try:
+            trials = chart_point(chart, X_new)
+        except TangencyLabError:
+            keep = drop_failing(rows, lambda m: chart_point(chart, X_new[m]))
+            if keep.all():
+                raise
+            searching, fresh = rows[keep], fresh[:0]
+            continue
         f_new = trials.loss()
-        ok = sign * (f_new - f[rows]) <= -1e-4 * alpha[rows] * gn[rows] * gn[rows]
+        ok = sign[rows] * (f_new - f[rows]) <= -1e-4 * alpha[rows] * gn[rows] * gn[rows]
         fresh = rows[ok]
         X[fresh], f[fresh] = X_new[ok], f_new[ok]
         alpha[fresh] *= 2.0
@@ -340,34 +390,39 @@ def sphere_extremize(chart, center, r, mode="min", n_starts=8, seed=0):
         searching = rejected[halvings[rejected] < 60]
 
     # Newton polish on the sphere stationarity system drives the gradient
-    # the rest of the way to the 1e-9 target, start by start; its first
-    # gradient and Hessian are those of the descent's last point
+    # the rest of the way to the 1e-9 target, problem by problem and start
+    # by start; its first gradient and Hessian are those of the descent's
+    # last point
     grad_fn = lambda x: chart_gradient(chart, x)
     polish_cfg = TraceConfig()
-    best_xi, best_val = None, None
-    for s in range(S):
-        stack, j = current[s]
-        point = stack.take(j)
-        xi = X[s]
-        u = xi - center_xi
-        g = point.gradient()
-        lam = (g @ u) / (2.0 * r * r)
-        sol_xi, _, status = _newton_solve(
-            grad_fn, lambda x: point.gradient_hessian(), center_xi, xi, lam, r, polish_cfg)
-        if status != "ok":
-            continue
-        point = chart_point(chart, sol_xi)
-        g = point.gradient()
-        u = sol_xi - center_xi
-        gt = g - ((g @ u) / (r * r)) * u
-        if np.linalg.norm(gt) > 1e-9:
-            continue
-        fx = point.loss()
-        if best_val is None or sign * (fx - best_val) < 0:
-            best_xi, best_val = sol_xi, fx
-    if best_xi is None:
-        raise NoConvergence("no start reached stationarity on the sphere")
-    return best_xi, float(best_val)
+    results = []
+    for p, (r, _) in enumerate(problems):
+        if p == failed:
+            raise error
+        best_xi, best_val = None, None
+        for s in range(p * n_starts, (p + 1) * n_starts):
+            point = stack_of[s].take(row_of[s])
+            xi = X[s]
+            u = xi - center_xi
+            g = point.gradient()
+            lam = (g @ u) / (2.0 * r * r)
+            sol_xi, _, status = _newton_solve(
+                grad_fn, lambda x: point.gradient_hessian(), center_xi, xi, lam, r, polish_cfg)
+            if status != "ok":
+                continue
+            point = chart_point(chart, sol_xi)
+            g = point.gradient()
+            u = sol_xi - center_xi
+            gt = g - ((g @ u) / (r * r)) * u
+            if np.linalg.norm(gt) > 1e-9:
+                continue
+            fx = point.loss()
+            if best_val is None or sign[s] * (fx - best_val) < 0:
+                best_xi, best_val = sol_xi, fx
+        if best_xi is None:
+            raise NoConvergence("no start reached stationarity on the sphere")
+        results.append((best_xi, float(best_val)))
+    return results
 
 
 def minimal_eig_directions(chart, H, cluster_tol=1e-5):
@@ -524,7 +579,8 @@ def arc_to_json(arc, cfg=None):
 
 def arc_to_csv(arc):
     """CSV of r, loss, lambda along the arc (for plotting profiles)."""
+    losses = chart_point(arc.chart, np.array([xi for _, xi, _ in arc.samples])).loss()
     lines = ["r,loss,lambda"]
-    for r, xi, lam in arc.samples:
-        lines.append("%.17g,%.17g,%.17g" % (r, chart_loss(arc.chart, xi), lam))
+    for (r, _, lam), f in zip(arc.samples, losses):
+        lines.append("%.17g,%.17g,%.17g" % (r, f, lam))
     return "\n".join(lines) + "\n"

@@ -208,7 +208,7 @@ def test_criterion_7_sphere_minimum_rate_and_arc_agreement():
         center = project(chart, embed(rec.chart, rec.xi))
         dirs, _ = minimal_eig_directions(chart, chart_hessian(chart, center))
         r = 1e-3
-        _, m_r = sphere_extremize(chart, rec, r)
+        [(_, m_r)] = sphere_extremize(chart, rec, [(r, "min")])
         ratio = (m_r - rec.loss_value) / r ** 2
         rel = abs(ratio - lam_min / 2.0) / (lam_min / 2.0)
         print(f"{fam}: [m(r)-L]/r^2 = {ratio:.6f}, lam_min/2 = "
@@ -219,7 +219,7 @@ def test_criterion_7_sphere_minimum_rate_and_arc_agreement():
         arcs = [trace_arc(chart, rec, s * v, cfg)
                 for v in dirs for s in (1.0, -1.0)]
         for rr in (1e-3, 1e-2):
-            _, m = sphere_extremize(chart, rec, rr)
+            [(_, m)] = sphere_extremize(chart, rec, [(rr, "min")])
             arc_best = min(loss(embed(chart, xi))
                            for a in arcs for q, xi, _ in a.samples
                            if abs(q - rr) <= 1e-6)

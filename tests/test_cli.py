@@ -224,6 +224,33 @@ def test_sphere_report(tmp_path):
     assert csv_lines[1].split(",")[:3] == ["r", "m_r", "min_isotropy"]
 
 
+def test_sphere_failing_radius_exits_3_with_its_error(tmp_path):
+    # the minimum search at r = 20 reaches a zero student row; the radii
+    # before it solve, and no table is written
+    res = run_cli(["sphere", "--family", "C1II", "--d", "7", "--k", "2",
+                   "--r-grid", "1:20", "--r-count", "3", "--out", "o"], tmp_path)
+    assert res.returncode == 3, res.stderr
+    assert os.listdir(tmp_path / "o") == ["error.json"]
+    assert json.loads((tmp_path / "o" / "error.json").read_text()) == {
+        "error": "DegenerateVector", "message": "a student row has norm <= 1e-12"}
+
+
+def test_sphere_modes_do_not_couple(tmp_path):
+    # the minima and maxima of a --mode both run are those of the runs
+    # that ask for one mode, to the last bit
+    rows = {}
+    for mode in ("both", "min", "max"):
+        res = run_cli(["sphere", "--family", "C1II", "--d", "7", "--k", "2",
+                       "--r-count", "2", "--mode", mode, "--out", mode], tmp_path)
+        assert res.returncode == 0, res.stderr
+        rows[mode] = json.loads((tmp_path / mode / "sphere_C1II_d7_k2.json").read_text())["rows"]
+    for mode, cols in (("min", ("m_r", "min_isotropy", "min_label")),
+                       ("max", ("M_r", "max_isotropy", "max_label"))):
+        assert len(rows[mode]) == len(rows["both"]) == 2
+        for alone, both in zip(rows[mode], rows["both"]):
+            assert [repr(both[c]) for c in ("r",) + cols] == [repr(alone[c]) for c in ("r",) + cols]
+
+
 # ------------------------------------------------------------ env + config
 
 

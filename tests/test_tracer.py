@@ -14,7 +14,7 @@ from tangency_lab.atlas import (
     refined_minimum,
     seed_minimum,
 )
-from tangency_lab.errors import BadDirection, DimensionMismatch
+from tangency_lab.errors import BadDirection, DimensionMismatch, TangencyLabError
 from tangency_lab.kernel import loss
 from tangency_lab.symmetry import (
     YoungPartitionGroup,
@@ -259,7 +259,7 @@ def test_sphere_minimum_matches_quadratic_rate(c0i_record):
     H = chart_hessian(chart, _project_center(chart, c0i_record))
     lam_min = float(np.linalg.eigvalsh(H)[0])
     r = 1e-3
-    _, m_r = sphere_extremize(chart, c0i_record, r)
+    [(_, m_r)] = sphere_extremize(chart, c0i_record, [(r, "min")])
     ratio = (m_r - c0i_record.loss_value) / r ** 2
     assert ratio == pytest.approx(lam_min / 2.0, rel=0.10)
 
@@ -272,7 +272,7 @@ def test_sphere_minimum_agrees_with_arc_sample(c0i_record):
     arcs = [trace_arc(chart, c0i_record, s * v, cfg)
             for v in dirs for s in (1.0, -1.0)]
     for r in (1e-3, 1e-2):
-        _, m_r = sphere_extremize(chart, c0i_record, r)
+        [(_, m_r)] = sphere_extremize(chart, c0i_record, [(r, "min")])
         # samples sit at r_min + k * delta_r, a hair above the round radii
         arc_best = min(
             loss(embed(chart, xi))
@@ -283,7 +283,7 @@ def test_sphere_minimum_agrees_with_arc_sample(c0i_record):
 
 def test_sphere_maximum_keeps_full_symmetry(c0i_record):
     chart = build_chart(7, YoungPartitionGroup((6, 1)))
-    xi, val = sphere_extremize(chart, c0i_record, 1e-3, mode="max")
+    [(xi, val)] = sphere_extremize(chart, c0i_record, [(1e-3, "max")])
     assert val > c0i_record.loss_value
     W = embed(chart, xi)
     assert detect_diagonal_isotropy(W).blocks == (7,)
@@ -303,18 +303,23 @@ SPHERE_PINS = {
 @pytest.mark.parametrize("r, mode", sorted(SPHERE_PINS))
 def test_sphere_extremize_pins_the_descent(c0i_record, r, mode):
     chart = build_chart(7, YoungPartitionGroup((6, 1)))
-    _, value = sphere_extremize(chart, c0i_record, r, mode=mode, seed=0)
+    [(_, value)] = sphere_extremize(chart, c0i_record, [(r, mode)], seed=0)
     assert repr(value) == repr(SPHERE_PINS[r, mode])
 
 
 def test_sphere_descent_evaluates_each_point_once(c0i_record, monkeypatch):
-    # in the descent before the first Newton polish (all starts, in
-    # lockstep) and between two polishes the orbit terms are computed at
-    # most once per point: a trial's loss, its gradient once accepted and
-    # the polish's start share them
+    # in the descent before the first Newton polish (all starts of all
+    # problems, in lockstep) and between two polishes the orbit terms are
+    # computed at most once per point: a trial's loss, its gradient once
+    # accepted and the polish's start share them; the center's Hessian is
+    # computed once for all the problems of a call. The min and max
+    # problems at one radius draw the same six random starts from the one
+    # seed, and each problem evaluates its own: those twelve points are
+    # the only ones evaluated twice
     chart = build_chart(7, YoungPartitionGroup((6, 1)))
-    phases, polishing = [[]], [False]
+    phases, polishing, hessians = [[]], [False], []
     terms, newton_solve = kernel._orbit_terms, tracer._newton_solve
+    chart_hessian = tracer.chart_hessian
 
     def recording_terms(layout, xi, *rest):
         # one entry per point: the descent evaluates its points in stacks
@@ -330,13 +335,18 @@ def test_sphere_descent_evaluates_each_point_once(c0i_record, monkeypatch):
             polishing[0] = False
             phases.append([])
 
+    def counting_hessian(*args):
+        hessians.append(args)
+        return chart_hessian(*args)
+
     monkeypatch.setattr(kernel, "_orbit_terms", recording_terms)
     monkeypatch.setattr(tracer, "_newton_solve", marking_solve)
-    for r, mode in sorted(SPHERE_PINS):
-        sphere_extremize(chart, c0i_record, r, mode=mode, seed=0)
+    monkeypatch.setattr(tracer, "chart_hessian", counting_hessian)
+    sphere_extremize(chart, c0i_record, sorted(SPHERE_PINS), seed=0)
+    assert len(hessians) == 1
     assert len(phases) > 8 and sum(map(len, phases)) > 100
     repeats = [len(seen) - len(set(seen)) for seen in phases]
-    assert repeats == [0] * len(phases)
+    assert repeats == [2 * (8 - 2)] + [0] * (len(phases) - 1)
 
 
 def _sphere_extremize_start_by_start(chart, center, r, mode, n_starts, seed):
@@ -403,23 +413,49 @@ def test_lockstep_sphere_descent_matches_the_start_by_start_loop(family, d):
     # on the (d - 2, 1, 1) chart that `sphere` uses by default
     rec = refined_minimum(family, d)
     chart = build_chart(d, YoungPartitionGroup((d - 2, 1, 1)))
-    for mode in ("min", "max"):
-        for r in (1e-3, 0.1):
-            for n_starts in (8, 9):
-                xi, value = sphere_extremize(chart, rec, r, mode=mode, n_starts=n_starts)
-                xi_ref, value_ref = _sphere_extremize_start_by_start(
-                    chart, rec, r, mode, n_starts, seed=0)
-                assert np.array_equal(xi, xi_ref) and value == value_ref, (mode, r, n_starts)
+    problems = [(r, mode) for mode in ("min", "max") for r in (1e-3, 0.1)]
+    for n_starts in (8, 9):
+        results = sphere_extremize(chart, rec, problems, n_starts=n_starts)
+        assert len(results) == len(problems)
+        for (r, mode), (xi, value) in zip(problems, results):
+            xi_ref, value_ref = _sphere_extremize_start_by_start(
+                chart, rec, r, mode, n_starts, seed=0)
+            assert np.array_equal(xi, xi_ref) and value == value_ref, (mode, r, n_starts)
+
+
+def test_failing_sphere_problem_raises_its_own_error_after_the_earlier_ones(monkeypatch):
+    # on the (5, 1, 1) chart at d = 7 the C1II minimum search at r = 20
+    # reaches a zero student row; the other problems of the list solve
+    rec = refined_minimum("C1II", 7)
+    chart = build_chart(7, YoungPartitionGroup((5, 1, 1)))
+    with pytest.raises(TangencyLabError) as alone:
+        sphere_extremize(chart, rec, [(20.0, "min")])
+    polished, newton_solve = [], tracer._newton_solve
+
+    def counting_solve(*args):
+        polished.append(args[-2])
+        return newton_solve(*args)
+
+    monkeypatch.setattr(tracer, "_newton_solve", counting_solve)
+    for earlier in ([(1.0, "min"), (4.0, "max")], []):
+        polished.clear()
+        with pytest.raises(TangencyLabError) as merged:
+            sphere_extremize(chart, rec, earlier + [(20.0, "min"), (20.0, "max")])
+        assert type(merged.value) is type(alone.value)
+        assert str(merged.value) == str(alone.value) == "a student row has norm <= 1e-12"
+        # each start of the problems before the failing one is polished,
+        # none of the problem after it
+        assert polished == [r for r, _ in earlier for _ in range(8)]
 
 
 def test_sphere_extremize_validation(c0i_record):
     chart = build_chart(7, YoungPartitionGroup((6, 1)))
     with pytest.raises(ValueError):
-        sphere_extremize(chart, c0i_record, -1.0)
+        sphere_extremize(chart, c0i_record, [(-1.0, "min")])
     with pytest.raises(ValueError):
-        sphere_extremize(chart, c0i_record, 1e-3, mode="saddle")
+        sphere_extremize(chart, c0i_record, [(1e-3, "saddle")])
     with pytest.raises(ValueError):
-        sphere_extremize(chart, c0i_record, 1e-3, n_starts=2)
+        sphere_extremize(chart, c0i_record, [(1e-3, "min")], n_starts=2)
 
 
 # ------------------------------------------------------- direction picking
