@@ -1,4 +1,4 @@
-"""Count the orbit evaluations of one `sphere` invocation.
+"""Count the orbit evaluations and trust-region iterations of one `sphere` invocation.
 
     PYTHONPATH=src python scripts/sphere_counts.py --family C1II --d 20 --k 2 --r-count 2
 
@@ -6,14 +6,15 @@ runs the `sphere` subcommand in this process with the given arguments
 (its files go to a temporary directory) and prints one JSON object: the
 calls of `kernel._orbit_terms`, split into stacked calls (a (B, n)
 stack of points) and single-point calls (the refinement of the center
-included), the rows (points) they evaluated, the calls of
-`sphere_extremize`, and the descent rounds, that is the stacked calls
-after the first of each `sphere_extremize` call; plus the exit code and
-the wall time. The counts do not depend on the machine.
-The counters wrap `kernel._orbit_terms` and `sphere_extremize` from
-outside the package, so the script counts any version of
-`tangency_lab` that is first on the path, one that solves each radius
-and mode in a call of its own included.
+included), and the rows (points) they evaluated; the chart Hessians
+computed (`OrbitPoint.gradient_hessian` calls that evaluate, not those
+served from the point's cache); the calls of `sphere_extremize`; and
+the trust-region iterations, that is the calls of
+`tracer._trust_region_step` (null for a version of the package without
+it); plus the exit code and the wall time. The counts do not depend on
+the machine. The counters wrap these functions from outside the
+package, so the script counts any version of `tangency_lab` that is
+first on the path.
 """
 
 import json
@@ -23,12 +24,13 @@ import time
 
 import numpy as np
 
-from tangency_lab import cli, kernel
+from tangency_lab import cli, kernel, tracer
 
 
 def main():
     counts = {"orbit_terms_calls": 0, "stacked_calls": 0, "single_point_calls": 0,
-              "rows": 0, "sphere_extremize_calls": 0}
+              "rows": 0, "gradient_hessian_evaluations": 0, "sphere_extremize_calls": 0,
+              "trust_region_iterations": 0}
 
     def counted_terms(layout, xi, *rest):
         stacked = np.ndim(xi) == 2
@@ -37,26 +39,32 @@ def main():
         counts["rows"] += len(xi) if stacked else 1
         return orbit_terms(layout, xi, *rest)
 
-    def counted_sphere(*a, **kw):
-        counts["sphere_extremize_calls"] += 1
-        return sphere_extremize(*a, **kw)
+    def counted_gradient_hessian(self):
+        counts["gradient_hessian_evaluations"] += self._grad_hess is None
+        return gradient_hessian(self)
 
-    orbit_terms, sphere_extremize = kernel._orbit_terms, cli.sphere_extremize
+    def counted(fn, key):
+        def wrapper(*a, **kw):
+            counts[key] += 1
+            return fn(*a, **kw)
+        return wrapper
+
+    orbit_terms, gradient_hessian = kernel._orbit_terms, kernel.OrbitPoint.gradient_hessian
     kernel._orbit_terms = counted_terms
-    cli.sphere_extremize = counted_sphere
+    kernel.OrbitPoint.gradient_hessian = counted_gradient_hessian
+    cli.sphere_extremize = counted(cli.sphere_extremize, "sphere_extremize_calls")
+    if hasattr(tracer, "_trust_region_step"):
+        tracer._trust_region_step = counted(tracer._trust_region_step, "trust_region_iterations")
+    else:
+        counts["trust_region_iterations"] = None
 
     args = sys.argv[1:]
     with tempfile.TemporaryDirectory() as out:
         t0 = time.perf_counter()
         code = cli.main(["sphere", *args, "--out", out])
         wall = time.perf_counter() - t0
-    print(json.dumps({
-        "args": args,
-        "exit_code": code,
-        **counts,
-        "descent_rounds": counts["stacked_calls"] - counts["sphere_extremize_calls"],
-        "wall_s": round(wall, 3),
-    }, indent=1))
+    print(json.dumps({"args": args, "exit_code": code, **counts, "wall_s": round(wall, 3)},
+                     indent=1))
 
 
 if __name__ == "__main__":

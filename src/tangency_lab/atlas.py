@@ -135,11 +135,6 @@ def chart_point(chart, xi):
     return OrbitPoint(chart.layout, xi)
 
 
-def chart_loss(chart, xi):
-    """Loss at the fixed matrix with chart coordinates xi, evaluated on the chart's orbits."""
-    return chart_point(chart, xi).loss()
-
-
 def chart_gradient(chart, xi):
     """Gradient of the loss restricted to the chart (orthonormal coordinates)."""
     return chart_point(chart, xi).gradient()

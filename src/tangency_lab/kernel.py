@@ -320,9 +320,8 @@ class OrbitPoint:
     and keep what they computed, so each is evaluated at most once per
     point and the gradient-Hessian reuses the gradient. On a stack,
     `loss` and `gradient` give one row per point, each with the bits of
-    that point evaluated alone, and `take` selects rows. The derivatives
-    raise NearParallelRows at antiparallel rows, where the loss is still
-    defined.
+    that point evaluated alone. The derivatives raise NearParallelRows at
+    antiparallel rows, where the loss is still defined.
     """
 
     __slots__ = ("layout", "_terms", "_loss", "_grad", "_grad_hess")
@@ -331,18 +330,6 @@ class OrbitPoint:
         self.layout = layout
         self._terms = _orbit_terms(layout, xi)
         self._loss = self._grad = self._grad_hess = None
-
-    def take(self, index):
-        """The point (an integer index) or the stack (an index array or a
-        mask) of these rows of a stack, with the values already computed
-        for them; nothing is evaluated again."""
-        sub = OrbitPoint.__new__(OrbitPoint)
-        sub.layout = self.layout
-        sub._terms = tuple(t[index] for t in self._terms)
-        sub._loss = None if self._loss is None else self._loss[index]
-        sub._grad = None if self._grad is None else tuple(t[index] for t in self._grad)
-        sub._grad_hess = None
-        return sub
 
     def loss(self):
         """`loss` at the fixed matrix with these chart coordinates."""

@@ -72,7 +72,10 @@ def _newton_solve(grad_fn, grad_hess_fn, center, xi, lam, r, cfg):
     chord iteration running away from its guess costs six gradient
     evaluations instead of the whole budget. A rise that stays below the
     starting residual runs on: chord iterations that rise for a while and
-    then converge do occur.
+    then converge do occur. A solve whose residual has set no new running
+    minimum for twelve iterates, stalled or wandering, stops as
+    'diverged' too; chord iterations that converge after eleven such
+    iterates occur.
 
     Returns (xi, lam, 'ok') or (None, None, reason) with reason one of
     'singular', 'diverged'.
@@ -85,7 +88,6 @@ def _newton_solve(grad_fn, grad_hess_fn, center, xi, lam, r, cfg):
     eye = np.eye(n)
     J = np.zeros((n + 1, n + 1))
     F = np.empty(n + 1)
-    rises = 0
     for it in range(cfg.max_newton_iters):
         u = xi - center
         if it:
@@ -101,10 +103,13 @@ def _newton_solve(grad_fn, grad_hess_fn, center, xi, lam, r, cfg):
         if res <= cfg.newton_tol:
             return xi, lam, "ok"
         if it == 0:
-            res0 = res
+            res0 = best = res
+            rises = since_best = 0
         else:
             rises = rises + 1 if res > res_prev else 0
-            if rises >= 5 and res > res0:
+            since_best = 0 if res < best else since_best + 1
+            best = min(best, res)
+            if (rises >= 5 and res > res0) or since_best >= 12:
                 return None, None, "diverged"
         res_prev = res
         np.subtract(H, 2.0 * lam * eye, out=J[:n, :n])
@@ -248,28 +253,116 @@ def trace_arc(chart, center, direction, cfg=None):
     )
 
 
-def _row_dot(a, b):
-    """Row-wise dot products of two (B, n) arrays, each with the bits of
-    `a[i] @ b[i]`: a stacked (1, n) @ (n, 1) product reaches the same BLAS
-    dot kernel, where np.einsum and a matrix-vector product sum in other
-    orders. The rows must be C-contiguous for the same reason."""
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+def _tangent_basis(u):
+    """An orthonormal basis of the plane orthogonal to u, as the columns of
+    an (n, n - 1) matrix: the Householder reflection taking u to the axis
+    of its largest entry, with that axis's column dropped."""
+    j = int(np.argmax(np.abs(u)))
+    v = u / np.linalg.norm(u)
+    v[j] += 1.0 if v[j] >= 0.0 else -1.0
+    Q = np.eye(u.size) - (2.0 / (v @ v)) * np.outer(v, v)
+    return np.delete(Q, j, axis=1)
+
+
+def _trust_region_step(mu, beta, delta):
+    """The minimizer p of beta . p + (mu * p) . p / 2 over |p| <= delta.
+
+    The model is given in the eigenbasis of its Hessian, eigenvalues mu
+    ascending. The step is exact (More & Sorensen 1983): the interior
+    Newton step when the Hessian is positive definite and the step fits,
+    else p(s) = -beta / (mu + s) on the boundary, with s > max(0, -mu[0])
+    from Newton's iteration on the secular equation 1/|p(s)| = 1/delta,
+    which rises to its root monotonically from the left. In the hard case
+    (beta vanishes on the lowest eigenvectors and p(-mu[0]) lies inside)
+    the step is completed to the boundary along the first eigenvector.
+    """
+    lo = max(0.0, -mu[0])
+    act = beta != 0.0
+    shift = mu + lo
+    p = np.zeros_like(beta)
+    p[act] = -beta[act] / np.where(shift[act] > 0.0, shift[act], np.inf)
+    pole = act & (shift <= 0.0)
+    if not pole.any() and p @ p <= delta * delta:
+        if mu[0] <= 0.0:
+            p[0] += np.sqrt(delta * delta - p @ p)
+        return p
+    mu_a, beta_a = mu[act], beta[act]
+    s = max(lo + np.linalg.norm(beta[pole]) / delta, np.linalg.norm(beta_a) / delta - mu_a[-1])
+    for _ in range(50):
+        d = mu_a + s
+        p_a = -beta_a / d
+        pn = np.linalg.norm(p_a)
+        if abs(pn - delta) <= 1e-12 * delta:
+            break
+        s += (pn * pn / ((p_a * p_a) @ (1.0 / d))) * (pn - delta) / delta
+    p[act] = p_a
+    return p
+
+
+def _sphere_descent(chart, center, xi, r, sign, floor):
+    """Riemannian trust-region Newton for sign * loss on the chart sphere
+    |xi - center| = r (Absil, Baker & Gallivan 2007), from a point on it.
+
+    The model at xi is the exact chart gradient and Hessian taken to the
+    tangent plane of u = xi - center: P g and P (H - (g . u / u . u) I) P,
+    with P the projector onto that plane; its subproblem is solved exactly
+    in an orthonormal basis of the plane. A step is retracted radially onto
+    the sphere and accepted on the ratio of the actual to the predicted
+    decrease, which also sets the trust radius (at most r). Below `floor`,
+    the rounding floor of the loss, that ratio is noise: a predicted
+    decrease there ends the descent, after taking the step if it is an
+    interior Newton step. The descent also ends after 1000 iterations.
+    Returns its last point and that point's `OrbitPoint`, whose gradient
+    and Hessian are already computed.
+    """
+    point = chart_point(chart, xi)
+    f = point.loss()
+    delta = r
+    for _ in range(1000):
+        g, H = point.gradient_hessian()
+        u = xi - center
+        Q = _tangent_basis(u)
+        HQ = Q.T @ H @ Q
+        HQ -= ((g @ u) / (u @ u)) * np.eye(HQ.shape[0])
+        mu, V = np.linalg.eigh(sign * HQ)
+        QV = Q @ V
+        beta = sign * (g @ QV)
+        p = _trust_region_step(mu, beta, delta)
+        pred = -(beta @ p + 0.5 * ((mu * p) @ p))
+        newton = mu[0] > 0.0 and 0.0 < p @ p < delta * delta
+        if pred <= floor and not newton:
+            break
+        x = u + QV @ p
+        xi_new = center + (r / np.linalg.norm(x)) * x
+        trial = chart_point(chart, xi_new)
+        if pred <= floor:
+            # an interior Newton step the ratio cannot judge: taken
+            # unjudged, it leaves the polish a step of second order
+            return xi_new, trial
+        f_new = trial.loss()
+        rho = sign * (f - f_new) / pred
+        if rho < 0.25:
+            delta *= 0.25
+        elif rho > 0.75 and np.linalg.norm(p) >= 0.99 * delta:
+            delta = min(2.0 * delta, r)
+        if rho > 0.1:
+            xi, point, f = xi_new, trial, f_new
+    return xi, point
 
 
 def sphere_extremize(chart, center, problems, n_starts=8, seed=0):
     """Extremize the loss over chart spheres |xi - center| = r.
 
-    `problems` is a sequence of (r, mode) pairs, mode 'min' or 'max'.
-    Each is solved by multi-start projected gradient with Armijo
-    backtracking: the first two starts are the extremal eigenvectors of
-    the restricted Hessian at the center, the rest are directions drawn
-    from `default_rng(seed)`. Returns one (xi, value) per problem, the
-    best stationary point found, in order.
-
-    All problems share one descent and each gets the bits it gets alone.
-    When a problem's evaluation raises, it and the problems after it leave
-    the descent while those before it run on; its error is raised once
-    they are solved, as when the problems are solved one by one.
+    `problems` is a sequence of (r, mode) pairs, mode 'min' or 'max',
+    solved in order. Each has n_starts starts: the two extremal
+    eigenvectors (with both signs) of the restricted Hessian at the center,
+    then directions drawn from `default_rng(seed)`. Every start runs a
+    second-order descent, `_sphere_descent`, then a Newton polish on the
+    stationarity system, and counts if its tangential gradient at the
+    polished point is at most 1e-9; the first best value over the starts
+    that count is returned. Returns one (xi, value) per problem. An error
+    raised while a problem descends ends the call, after the problems
+    before it are solved.
     """
     problems = list(problems)
     for r, mode in problems:
@@ -282,142 +375,41 @@ def sphere_extremize(chart, center, problems, n_starts=8, seed=0):
     if not problems:
         return []
     center_xi = transfer(center.chart, center.xi, chart)
-    n = chart.dim
-
-    evals, evecs = np.linalg.eigh(chart_hessian(chart, center_xi))
-    dirs, alpha0 = [], []
-    for r, mode in problems:
-        pick = 0 if mode == "min" else -1
-        rng = np.random.default_rng(seed)
-        start = len(dirs)
-        dirs += [evecs[:, pick], -evecs[:, pick]]
-        while len(dirs) - start < n_starts:
-            v = rng.normal(size=n)
-            dirs.append(v / np.linalg.norm(v))
-        alpha0.append(r / (1.0 + abs(evals[pick]) * r))
-
-    # The starts of every problem descend in lockstep. Each keeps its own
-    # step alpha, loss, halving count and step count, and each round
-    # evaluates the Armijo trials of all starts still searching as one
-    # stack, then the gradients of the starts that accepted theirs. A row
-    # of a stack gets the bits of its point evaluated alone, so every
-    # start takes the path it takes by itself.
-    budget = 100_000
-    S = len(dirs)
-    problem = np.repeat(np.arange(len(problems)), n_starts)
-    radius = np.array([r for r, _ in problems], dtype=float)[problem]
-    r2 = radius * radius
-    sign = np.array([1.0 if mode == "min" else -1.0 for _, mode in problems])[problem]
-    X = center_xi + radius[:, None] * np.array(dirs)
-    alpha = np.array(alpha0)[problem]
-    U, GT = np.empty_like(X), np.empty_like(X)
-    f, gn = np.empty(S), np.empty(S)
-    halvings = np.zeros(S, dtype=int)
-    steps = np.zeros(S, dtype=int)
-    # the evaluated stack holding each start's current point, and its row:
-    # its gradient and the polish's start read that evaluation
-    stack_of = np.empty(S, dtype=object)
-    row_of = np.empty(S, dtype=int)
-    failed, error = len(problems), None  # the first problem that raised, and its error
-
-    def drop_failing(rows, evaluate):
-        # a stacked call over these rows raised: make it for each problem
-        # among them alone, in order, evaluate(mask), until one raises; that
-        # one and the problems after it leave. Returns the mask of the rows
-        # that stay.
-        nonlocal failed, error
-        for p in np.unique(problem[rows]):
-            try:
-                evaluate(problem[rows] == p)
-            except TangencyLabError as e:
-                failed, error = p, e
-                break
-        return problem[rows] < failed
-
-    fresh = np.arange(S)  # starts at a new point, whose gradient comes next
-    found = None  # the evaluated points of the fresh starts, None before the first round
-    searching = fresh[:0]
-    while True:
-        if fresh.size:
-            try:
-                if found is None:
-                    found = chart_point(chart, X[fresh])
-                    f[fresh] = found.loss()
-                g = found.gradient()
-            except TangencyLabError:
-                keep = drop_failing(fresh, lambda m: chart_point(chart, X[fresh[m]]).gradient())
-                if keep.all():
-                    raise
-                # the other problems' points are evaluated again, to the same bits
-                fresh, searching, found = fresh[keep], searching[problem[searching] < failed], None
-                continue
-            stack_of[fresh] = found
-            row_of[fresh] = np.arange(fresh.size)
-            u = X[fresh] - center_xi
-            gt = sign[fresh, None] * (g - (_row_dot(g, u) / r2[fresh])[:, None] * u)
-            gn_fresh = np.sqrt(_row_dot(gt, gt))
-            go = (steps[fresh] < budget) & ~(
-                gn_fresh <= 1e-6 * np.maximum(1.0, np.sqrt(_row_dot(g, g))))
-            fresh = fresh[go]
-            U[fresh], GT[fresh], gn[fresh] = u[go], gt[go], gn_fresh[go]
-            steps[fresh] += 1
-            halvings[fresh] = 0
-            searching = np.concatenate((searching, fresh))
-        if not searching.size:
-            break
-        # Armijo backtracking on the sphere; 60 halvings without a
-        # decrease mean it fell below the loss rounding floor
-        rows = searching
-        u_new = U[rows] - alpha[rows, None] * GT[rows]
-        X_new = center_xi + (radius[rows] / np.sqrt(_row_dot(u_new, u_new)))[:, None] * u_new
-        try:
-            trials = chart_point(chart, X_new)
-        except TangencyLabError:
-            keep = drop_failing(rows, lambda m: chart_point(chart, X_new[m]))
-            if keep.all():
-                raise
-            searching, fresh = rows[keep], fresh[:0]
-            continue
-        f_new = trials.loss()
-        ok = sign[rows] * (f_new - f[rows]) <= -1e-4 * alpha[rows] * gn[rows] * gn[rows]
-        fresh = rows[ok]
-        X[fresh], f[fresh] = X_new[ok], f_new[ok]
-        alpha[fresh] *= 2.0
-        found = trials.take(ok)
-        rejected = rows[~ok]
-        alpha[rejected] *= 0.5
-        halvings[rejected] += 1
-        searching = rejected[halvings[rejected] < 60]
-
-    # Newton polish on the sphere stationarity system drives the gradient
-    # the rest of the way to the 1e-9 target, problem by problem and start
-    # by start; its first gradient and Hessian are those of the descent's
-    # last point
+    evecs = np.linalg.eigh(chart_hessian(chart, center_xi))[1]
+    # the loss sums O(d^2) kernel terms of size O(1) that cancel to it
+    floor = np.finfo(float).eps * chart.d ** 2
     grad_fn = lambda x: chart_gradient(chart, x)
     polish_cfg = TraceConfig()
     results = []
-    for p, (r, _) in enumerate(problems):
-        if p == failed:
-            raise error
+    for r, mode in problems:
+        sign = 1.0 if mode == "min" else -1.0
+        pick = 0 if mode == "min" else -1
+        rng = np.random.default_rng(seed)
+        dirs = [evecs[:, pick], -evecs[:, pick]]
+        while len(dirs) < n_starts:
+            v = rng.normal(size=chart.dim)
+            dirs.append(v / np.linalg.norm(v))
+        ends = [_sphere_descent(chart, center_xi, center_xi + r * v, r, sign, floor)
+                for v in dirs]
         best_xi, best_val = None, None
-        for s in range(p * n_starts, (p + 1) * n_starts):
-            point = stack_of[s].take(row_of[s])
-            xi = X[s]
+        for xi, point in ends:
             u = xi - center_xi
-            g = point.gradient()
-            lam = (g @ u) / (2.0 * r * r)
+            lam = (point.gradient() @ u) / (2.0 * (u @ u))
             sol_xi, _, status = _newton_solve(
                 grad_fn, lambda x: point.gradient_hessian(), center_xi, xi, lam, r, polish_cfg)
             if status != "ok":
                 continue
+            # the polish meets |u|^2 = r^2 to 1e-10: the point is put on the
+            # sphere, and its stationarity is tested there
+            u = sol_xi - center_xi
+            sol_xi = center_xi + (r / np.linalg.norm(u)) * u
             point = chart_point(chart, sol_xi)
             g = point.gradient()
             u = sol_xi - center_xi
-            gt = g - ((g @ u) / (r * r)) * u
-            if np.linalg.norm(gt) > 1e-9:
+            if np.linalg.norm(g - ((g @ u) / (u @ u)) * u) > 1e-9:
                 continue
             fx = point.loss()
-            if best_val is None or sign[s] * (fx - best_val) < 0:
+            if best_val is None or sign * (fx - best_val) < 0:
                 best_xi, best_val = sol_xi, fx
         if best_xi is None:
             raise NoConvergence("no start reached stationarity on the sphere")

@@ -235,6 +235,18 @@ def test_sphere_failing_radius_exits_3_with_its_error(tmp_path):
         "error": "DegenerateVector", "message": "a student row has norm <= 1e-12"}
 
 
+@pytest.mark.parametrize("family", ["C1I", "C1II"])
+def test_sphere_maxima_at_d100_pass_the_stationarity_test(tmp_path, family):
+    # the polished maxima at r = 0.1 carry a multiplier of about 13: tested
+    # with r^2 in place of their own |u|^2 they read a tangential gradient
+    # of 3e-9 to 5e-9 and every start was refused
+    res = run_cli(["sphere", "--family", family, "--d", "100", "--k", "2",
+                   "--r-count", "2", "--out", "o"], tmp_path)
+    assert res.returncode == 0, res.stderr
+    rows = json.loads((tmp_path / "o" / f"sphere_{family}_d100_k2.json").read_text())["rows"]
+    assert len(rows) == 2 and all(row["M_r"] > row["m_r"] for row in rows)
+
+
 def test_sphere_modes_do_not_couple(tmp_path):
     # the minima and maxima of a --mode both run are those of the runs
     # that ask for one mode, to the last bit

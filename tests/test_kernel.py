@@ -6,7 +6,6 @@ from tangency_lab.atlas import (
     chart_gradient,
     chart_gradient_hessian,
     chart_hessian,
-    chart_loss,
     chart_point,
 )
 from tangency_lab.errors import DegenerateVector, DimensionMismatch, NearParallelRows
@@ -234,7 +233,7 @@ def test_orbit_path_matches_dense_oracle(blocks):
                for _ in range(2)]
     for xi in points:
         L, g, H = _dense_chart_values(chart, xi)
-        assert abs(chart_loss(chart, xi) - L) <= 1e-10 * max(1.0, abs(L))
+        assert abs(chart_point(chart, xi).loss() - L) <= 1e-10 * max(1.0, abs(L))
         gap = np.max(np.abs(chart_gradient(chart, xi) - g))
         assert gap <= 1e-10 * max(1.0, np.max(np.abs(g)))
         gap = np.max(np.abs(chart_hessian(chart, xi) - H))
@@ -247,7 +246,7 @@ def test_orbit_path_matches_dense_oracle(blocks):
         for first in ("loss", "gradient", "gradient_hessian"):
             point = chart_point(chart, xi)
             getattr(point, first)()
-            assert point.loss() == chart_loss(chart, xi)
+            assert point.loss() == chart_point(chart, xi).loss()
             assert np.array_equal(point.gradient(), g2)
             g3, H3 = point.gradient_hessian()
             assert np.array_equal(g3, g2) and np.array_equal(H3, H2)
@@ -255,7 +254,8 @@ def test_orbit_path_matches_dense_oracle(blocks):
 
 def test_orbit_path_raises_the_dense_error_types():
     chart = build_chart(7, YoungPartitionGroup((1, 1, 5)))
-    fns = (chart_loss, chart_gradient, chart_hessian, chart_gradient_hessian, chart_point)
+    fns = (lambda chart, xi: chart_point(chart, xi).loss(), chart_gradient, chart_hessian,
+           chart_gradient_hessian, chart_point)
     for fn in fns:
         with pytest.raises(DimensionMismatch):
             fn(chart, np.ones(chart.dim + 1))
@@ -274,11 +274,11 @@ def test_orbit_path_raises_the_dense_error_types():
         for fn in (chart_gradient, chart_hessian, chart_gradient_hessian):
             with pytest.raises(NearParallelRows):
                 fn(chart, xi)
-        assert np.isfinite(chart_loss(chart, xi))
-        assert chart_loss(chart, xi) == pytest.approx(loss(embed(chart, xi)), abs=1e-12)
+        assert np.isfinite(chart_point(chart, xi).loss())
+        assert chart_point(chart, xi).loss() == pytest.approx(loss(embed(chart, xi)), abs=1e-12)
         # a point there serves the loss and refuses the derivatives
         point = chart_point(chart, xi)
-        assert point.loss() == chart_loss(chart, xi)
+        assert point.loss() == chart_point(chart, xi).loss()
         for read in (point.gradient, point.gradient_hessian):
             with pytest.raises(NearParallelRows):
                 read()
@@ -303,27 +303,13 @@ def test_stacked_points_match_single_points(blocks):
         stack = chart_point(chart, S)
         L, G = stack.loss(), stack.gradient()
         assert L.shape == (len(rows),) and G.shape == (len(rows), chart.dim)
-        # row-wise dot products of the gradients, as the sphere descent
-        # takes them, need C-ordered rows to get the single points' bits
+        # the gradient rows are C-ordered: a row-wise dot product of them
+        # has the single points' bits
         dots = (G[:, None, :] @ G[:, :, None])[:, 0, 0]
         for i, j in enumerate(rows):
             assert L[i] == singles[j].loss()
             g = singles[j].gradient()
             assert np.array_equal(G[i], g) and dots[i] == g @ g
-    # rows taken from an evaluated stack keep their values, and a row
-    # taken alone is its point, Hessian included
-    stack = chart_point(chart, X)
-    stack.loss(), stack.gradient()
-    sub = stack.take(subset)
-    for i, j in enumerate(subset):
-        assert sub.loss()[i] == singles[j].loss()
-        assert np.array_equal(sub.gradient()[i], singles[j].gradient())
-    for j in (0, 1, 32):
-        point, single = stack.take(j), singles[j]
-        assert point.loss() == single.loss()
-        g, H = point.gradient_hessian()
-        g1, H1 = single.gradient_hessian()
-        assert np.array_equal(g, g1) and np.array_equal(H, H1)
     # one point is a stack of one
     one = chart_point(chart, X[5:6])
     assert one.loss()[0] == singles[5].loss()
@@ -352,9 +338,10 @@ def test_stacked_points_raise_the_single_point_errors():
     W[1] = -W[0]
     Y = np.vstack([X, project(chart, W)])
     stack = chart_point(chart, Y)
-    assert np.array_equal(stack.loss(), [chart_loss(chart, y) for y in Y])
+    assert np.array_equal(stack.loss(), [chart_point(chart, y).loss() for y in Y])
     with pytest.raises(NearParallelRows):
         stack.gradient()
     with pytest.raises(NearParallelRows):
-        stack.take([0, 4]).gradient()
-    assert np.array_equal(stack.take([0, 2]).gradient(), [chart_gradient(chart, X[i]) for i in (0, 2)])
+        chart_point(chart, Y[[0, 4]]).gradient()
+    assert np.array_equal(chart_point(chart, Y[[0, 2]]).gradient(),
+                          [chart_gradient(chart, X[i]) for i in (0, 2)])
