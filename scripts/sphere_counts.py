@@ -7,14 +7,17 @@ runs the `sphere` subcommand in this process with the given arguments
 calls of `kernel._orbit_terms`, split into stacked calls (a (B, n)
 stack of points) and single-point calls (the refinement of the center
 included), and the rows (points) they evaluated; the chart Hessians
-computed (`OrbitPoint.gradient_hessian` calls that evaluate, not those
-served from the point's cache); the calls of `sphere_extremize`; and
-the trust-region iterations, that is the calls of
+computed, counted by rows (one per point of each
+`OrbitPoint.gradient_hessian` call that evaluates, not of those served
+from the point's cache); the calls of `sphere_extremize`; the
+trust-region iterations, that is the calls of
 `tracer._trust_region_step` (null for a version of the package without
-it); plus the exit code and the wall time. The counts do not depend on
-the machine. The counters wrap these functions from outside the
-package, so the script counts any version of `tangency_lab` that is
-first on the path.
+it); and the lockstep rounds, that is the stacked (B, n, n)
+`np.linalg.eigh` calls, one per round of a problem's descents (0 for a
+version that runs the descents one start at a time); plus the exit code
+and the wall time. The counts do not depend on the machine. The
+counters wrap these functions from outside the package, so the script
+counts any version of `tangency_lab` that is first on the path.
 """
 
 import json
@@ -29,8 +32,8 @@ from tangency_lab import cli, kernel, tracer
 
 def main():
     counts = {"orbit_terms_calls": 0, "stacked_calls": 0, "single_point_calls": 0,
-              "rows": 0, "gradient_hessian_evaluations": 0, "sphere_extremize_calls": 0,
-              "trust_region_iterations": 0}
+              "rows": 0, "gradient_hessian_rows": 0, "sphere_extremize_calls": 0,
+              "trust_region_iterations": 0, "lockstep_rounds": 0}
 
     def counted_terms(layout, xi, *rest):
         stacked = np.ndim(xi) == 2
@@ -40,8 +43,14 @@ def main():
         return orbit_terms(layout, xi, *rest)
 
     def counted_gradient_hessian(self):
-        counts["gradient_hessian_evaluations"] += self._grad_hess is None
+        if self._grad_hess is None:
+            n = self._terms[2]  # the row norms: (q,) at a point, (B, q) on a stack
+            counts["gradient_hessian_rows"] += len(n) if n.ndim == 2 else 1
         return gradient_hessian(self)
+
+    def counted_eigh(a, *rest, **kw):
+        counts["lockstep_rounds"] += np.ndim(a) == 3
+        return eigh(a, *rest, **kw)
 
     def counted(fn, key):
         def wrapper(*a, **kw):
@@ -50,8 +59,10 @@ def main():
         return wrapper
 
     orbit_terms, gradient_hessian = kernel._orbit_terms, kernel.OrbitPoint.gradient_hessian
+    eigh = np.linalg.eigh
     kernel._orbit_terms = counted_terms
     kernel.OrbitPoint.gradient_hessian = counted_gradient_hessian
+    np.linalg.eigh = counted_eigh
     cli.sphere_extremize = counted(cli.sphere_extremize, "sphere_extremize_calls")
     if hasattr(tracer, "_trust_region_step"):
         tracer._trust_region_step = counted(tracer._trust_region_step, "trust_region_iterations")

@@ -551,7 +551,10 @@ def main(argv=None):
         _apply_config_file(parser, argv)
         args = parser.parse_args(argv)
         outdir = os.environ.get("TANGENCY_LAB_OUT") or args.out
-        os.makedirs(outdir, exist_ok=True)
+        try:
+            os.makedirs(outdir, exist_ok=True)
+        except OSError as e:
+            raise ConfigError(f"cannot create output directory {outdir!r}: {e}")
         return args.func(args, outdir)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -10,8 +10,8 @@ and k = phi/2 equals E[relu(<w,x>) relu(<v,x>)].  This module evaluates the
 loss, its analytic gradient, and exact Hessian-vector products on d x d
 matrices, and the same formulas on fixed-point charts from one
 representative row per block (`OrbitPoint`, which serves the loss, the
-chart gradient and the chart Hessian at one point from one evaluation of
-the orbit terms).
+chart gradient and the chart Hessian at one point, or at each point of a
+stack, from one evaluation of the orbit terms).
 """
 
 import numpy as np
@@ -226,10 +226,10 @@ def hvp(W, V):
 # formulas of `loss`, `grad_loss` and `hvp` term by term, which stay as
 # the d x d oracle.
 #
-# The orbit terms, the loss and the gradient take one point or a stack
-# of points on a leading axis, and each row of a stack gets the bits of
-# that row evaluated alone. That holds because every array a BLAS
-# product reads is C-ordered slice by slice, as it is for one point:
+# The orbit terms, the loss, the gradient and the Hessian take one point
+# or a stack of points on a leading axis, and each row of a stack gets
+# the bits of that row evaluated alone. That holds because every array a
+# BLAS product reads is C-ordered slice by slice, as it is for one point:
 # fancy indexing of a stack returns other memory orders, so the gathers
 # use `take` or copy to C order, and a dot product per row is a stacked
 # (1, k) @ (k, 1) product, which reaches the same BLAS kernel as `a @ b`.
@@ -310,18 +310,24 @@ def _orbit_gradient(layout, terms):
     return g, sin_ww, sin_wt, a_minus_b, pi_ww
 
 
+def _per_direction(a):
+    """A point's (r, c) array, or a stack's (..., r, c), with an axis
+    before its own on which it broadcasts over the chart directions."""
+    return a[..., None, :, :]
+
+
 class OrbitPoint:
-    """The loss and its chart derivatives at one point of a chart, or the
-    loss and chart gradient at each point of a stack.
+    """The loss and its chart derivatives at one point of a chart, or at
+    each point of a stack.
 
     Construction validates the chart coordinates xi, one point (n,) or a
     stack (B, n) (DimensionMismatch, DegenerateVector), and computes the
     orbit terms once; `loss`, `gradient` and `gradient_hessian` read them
     and keep what they computed, so each is evaluated at most once per
-    point and the gradient-Hessian reuses the gradient. On a stack,
-    `loss` and `gradient` give one row per point, each with the bits of
-    that point evaluated alone. The derivatives raise NearParallelRows at
-    antiparallel rows, where the loss is still defined.
+    point and the gradient-Hessian reuses the gradient. On a stack, each
+    gives one row per point, with the bits of that point evaluated
+    alone. The derivatives raise NearParallelRows at antiparallel rows,
+    where the loss is still defined; on a stack, if any row has them.
     """
 
     __slots__ = ("layout", "_terms", "_loss", "_grad", "_grad_hess")
@@ -347,12 +353,14 @@ class OrbitPoint:
         return self._gradient_terms()[0]
 
     def gradient_hessian(self):
-        """Chart gradient and exact chart Hessian, at a single point.
+        """Chart gradient and exact chart Hessian, at the point or at each
+        point of the stack.
 
         Hessian entry (o, o') is sqrt(|o|) times H[B_o'] at one entry of
         orbit o, H[B_o'] being `hvp` along chart basis direction B_o'
         (fixed like B_o'); the whole stack of basis directions is
-        processed at once and the result is symmetrized.
+        processed at once, on an axis before each point's own arrays, and
+        the result is symmetrized.
         """
         if self._grad_hess is None:
             g, sin_ww, sin_wt, a_minus_b, pi_ww = self._gradient_terms()
@@ -360,25 +368,28 @@ class OrbitPoint:
             WC, _, _, nC, theta_ww, theta_wt = self._terms
             w = layout.weights
             R = layout.row_reps
-            UC = WC / nC[:, None]
-            UR = UC[R]
+            UC = WC / nC[..., :, None]
+            UR = UC.take(R, axis=-2)
 
             inv_ww = _inverse_sine(sin_ww)
-            cot_n_ww = np.cos(theta_ww) * inv_ww * nC
+            cot_n_ww = np.cos(theta_ww) * inv_ww * nC[..., None, :]
             inv_wt = _inverse_sine(sin_wt)
             cot_wt = np.cos(theta_wt) * inv_wt
-            du_coef = a_minus_b[:, None] - inv_wt
+            du_coef = a_minus_b[..., None] - inv_wt
 
             V = layout.directions  # (k, m, m)
-            dn = (V[:, R] * UR) @ w  # n' of each block, (k, q)
-            dnC = dn[:, layout.block_of]
-            dUC = (V - dnC[:, :, None] * UC) / nC[:, None]  # u'
-            dUR = dUC[:, R]
-            mt = ((dUR * w) @ UC.T + (UR * w) @ dUC.transpose(0, 2, 1))[:, :, layout.twin]  # -t' sin t
-            coef = ((dnC * w) @ sin_ww.T - np.sum(mt * (cot_n_ww * w), axis=2)
-                    + np.sum(dUR * (cot_wt * w), axis=2))
-            HR = ((mt * (inv_ww * w)) @ WC + pi_ww @ V
-                  + coef[:, :, None] * UR + dUR * du_coef) / (2.0 * np.pi)
-            H = layout.sqrt_sizes[:, None] * HR[:, layout.out_row, layout.out_col].T
-            self._grad_hess = g, 0.5 * (H + H.T)
+            at = _per_direction  # a point's array, on the axis of the directions
+            dn = (V.take(R, axis=1) * at(UR)) @ w  # n' of each block, (..., k, q)
+            dnC = dn.take(layout.block_of, axis=-1)
+            dUC = (V - dnC[..., None] * at(UC)) / at(nC[..., :, None])  # u'
+            dUR = dUC.take(R, axis=-2)
+            mt = ((dUR * w) @ at(UC.swapaxes(-1, -2))
+                  + at(UR * w) @ dUC.swapaxes(-1, -2)).take(layout.twin, axis=-1)  # -t' sin t
+            coef = ((dnC * w) @ sin_ww.swapaxes(-1, -2)
+                    - np.sum(mt * at(cot_n_ww * w), axis=-1)
+                    + np.sum(dUR * at(cot_wt * w), axis=-1))
+            HR = ((mt * at(inv_ww * w)) @ at(WC) + at(pi_ww) @ V
+                  + coef[..., None] * at(UR) + dUR * at(du_coef)) / (2.0 * np.pi)
+            H = layout.sqrt_sizes[:, None] * HR[..., layout.out_row, layout.out_col].swapaxes(-1, -2)
+            self._grad_hess = g, 0.5 * (H + H.swapaxes(-1, -2))
         return self._grad_hess

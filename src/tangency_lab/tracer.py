@@ -44,6 +44,9 @@ class TraceConfig:
     cond_threshold: float = 1e12
 
     def __post_init__(self):
+        for name in ("delta_r", "r_min", "r_max", "newton_tol", "cond_threshold"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not (0 < self.r_min < self.delta_r < self.r_max):
             raise ValueError("need 0 < r_min < delta_r < r_max")
 
@@ -299,9 +302,38 @@ def _trust_region_step(mu, beta, delta):
     return p
 
 
-def _sphere_descent(chart, center, xi, r, sign, floor):
+def _evaluate(chart, X):
+    """The loss, gradient and Hessian at each row of X (B, n), from one
+    stacked orbit evaluation: a list of (f, (g, H)) per row.
+
+    When the stacked call raises, its rows are evaluated alone, and the
+    error a row raises takes the place of what it could not give: of both
+    entries if the point itself is invalid, of the pair if only its
+    derivatives raise.
+    """
+    try:
+        point = chart_point(chart, X)
+        G, H = point.gradient_hessian()
+        return [(f, (g, h)) for f, g, h in zip(point.loss(), G, H)]
+    except TangencyLabError:
+        return [_evaluate_alone(chart, x) for x in X]
+
+
+def _evaluate_alone(chart, x):
+    try:
+        point = chart_point(chart, x)
+    except TangencyLabError as e:
+        return e, e
+    try:
+        return point.loss(), point.gradient_hessian()
+    except TangencyLabError as e:
+        return point.loss(), e
+
+
+def _sphere_descents(chart, center, X, r, sign, floor):
     """Riemannian trust-region Newton for sign * loss on the chart sphere
-    |xi - center| = r (Absil, Baker & Gallivan 2007), from a point on it.
+    |xi - center| = r (Absil, Baker & Gallivan 2007), from each row of X,
+    a point on it.
 
     The model at xi is the exact chart gradient and Hessian taken to the
     tangent plane of u = xi - center: P g and P (H - (g . u / u . u) I) P,
@@ -311,43 +343,82 @@ def _sphere_descent(chart, center, xi, r, sign, floor):
     decrease, which also sets the trust radius (at most r). Below `floor`,
     the rounding floor of the loss, that ratio is noise: a predicted
     decrease there ends the descent, after taking the step if it is an
-    interior Newton step. The descent also ends after 1000 iterations.
-    Returns its last point and that point's `OrbitPoint`, whose gradient
-    and Hessian are already computed.
+    interior Newton step. A descent also ends after 1000 iterations.
+
+    The descents run in lockstep: each round evaluates the trial points of
+    the running descents in one stacked call (`_evaluate`) and solves
+    their models with one stacked `eigh`, and a descent leaves the stack
+    when it ends. Each row takes the floating-point operations of a
+    descent run alone. Once all have ended, the error of the first start
+    whose descent raised is raised, as if the starts had descended one
+    after another. Else returns, per start, its last point and that
+    point's (gradient, Hessian), or in place of the pair the error they
+    raise; the descent did not need them if it ended on an unjudged step
+    or after 1000 iterations.
     """
-    point = chart_point(chart, xi)
-    f = point.loss()
-    delta = r
+    ends = [None] * len(X)
+    xi, delta = list(X), [r] * len(X)
+    eye = np.eye(len(center) - 1)
+    f, gh = map(list, zip(*_evaluate(chart, X)))
+    running = []
+    for i, fi in enumerate(f):
+        if isinstance(fi, TangencyLabError):
+            ends[i] = fi
+        else:
+            running.append(i)
     for _ in range(1000):
-        g, H = point.gradient_hessian()
-        u = xi - center
-        Q = _tangent_basis(u)
-        HQ = Q.T @ H @ Q
-        HQ -= ((g @ u) / (u @ u)) * np.eye(HQ.shape[0])
-        mu, V = np.linalg.eigh(sign * HQ)
-        QV = Q @ V
-        beta = sign * (g @ QV)
-        p = _trust_region_step(mu, beta, delta)
-        pred = -(beta @ p + 0.5 * ((mu * p) @ p))
-        newton = mu[0] > 0.0 and 0.0 < p @ p < delta * delta
-        if pred <= floor and not newton:
+        models = []
+        for i in running:
+            if isinstance(gh[i], TangencyLabError):
+                ends[i] = gh[i]
+                continue
+            g, H = gh[i]
+            u = xi[i] - center
+            Q = _tangent_basis(u)
+            HQ = Q.T @ H @ Q
+            HQ -= ((g @ u) / (u @ u)) * eye
+            models.append((i, g, u, Q, sign * HQ))
+        running = []
+        if not models:
             break
-        x = u + QV @ p
-        xi_new = center + (r / np.linalg.norm(x)) * x
-        trial = chart_point(chart, xi_new)
-        if pred <= floor:
-            # an interior Newton step the ratio cannot judge: taken
-            # unjudged, it leaves the polish a step of second order
-            return xi_new, trial
-        f_new = trial.loss()
-        rho = sign * (f - f_new) / pred
-        if rho < 0.25:
-            delta *= 0.25
-        elif rho > 0.75 and np.linalg.norm(p) >= 0.99 * delta:
-            delta = min(2.0 * delta, r)
-        if rho > 0.1:
-            xi, point, f = xi_new, trial, f_new
-    return xi, point
+        mus, Vs = np.linalg.eigh(np.array([m[-1] for m in models]))
+        trials = []
+        for (i, g, u, Q, _), mu, V in zip(models, mus, Vs):
+            QV = Q @ V
+            beta = sign * (g @ QV)
+            p = _trust_region_step(mu, beta, delta[i])
+            pred = -(beta @ p + 0.5 * ((mu * p) @ p))
+            newton = mu[0] > 0.0 and 0.0 < p @ p < delta[i] * delta[i]
+            if pred <= floor and not newton:
+                ends[i] = xi[i], gh[i]
+                continue
+            x = u + QV @ p
+            trials.append((i, center + (r / np.linalg.norm(x)) * x, p, pred))
+        if not trials:
+            break
+        for (i, xi_new, p, pred), (f_new, gh_new) in zip(
+                trials, _evaluate(chart, np.array([t[1] for t in trials]))):
+            if isinstance(f_new, TangencyLabError):
+                ends[i] = f_new
+            elif pred <= floor:
+                # an interior Newton step the ratio cannot judge: taken
+                # unjudged, it leaves the polish a step of second order
+                ends[i] = xi_new, gh_new
+            else:
+                rho = sign * (f[i] - f_new) / pred
+                if rho < 0.25:
+                    delta[i] *= 0.25
+                elif rho > 0.75 and np.linalg.norm(p) >= 0.99 * delta[i]:
+                    delta[i] = min(2.0 * delta[i], r)
+                if rho > 0.1:
+                    xi[i], f[i], gh[i] = xi_new, f_new, gh_new
+                running.append(i)
+    for i in running:
+        ends[i] = xi[i], gh[i]
+    for end in ends:
+        if isinstance(end, TangencyLabError):
+            raise end
+    return ends
 
 
 def sphere_extremize(chart, center, problems, n_starts=8, seed=0):
@@ -356,13 +427,17 @@ def sphere_extremize(chart, center, problems, n_starts=8, seed=0):
     `problems` is a sequence of (r, mode) pairs, mode 'min' or 'max',
     solved in order. Each has n_starts starts: the two extremal
     eigenvectors (with both signs) of the restricted Hessian at the center,
-    then directions drawn from `default_rng(seed)`. Every start runs a
-    second-order descent, `_sphere_descent`, then a Newton polish on the
-    stationarity system, and counts if its tangential gradient at the
-    polished point is at most 1e-9; the first best value over the starts
-    that count is returned. Returns one (xi, value) per problem. An error
-    raised while a problem descends ends the call, after the problems
-    before it are solved.
+    then directions drawn from `default_rng(seed)`. The problems run one
+    after another. A problem's starts run their second-order descents in
+    lockstep, `_sphere_descents`, with one stacked orbit evaluation per
+    round; then each start, in order, takes a Newton polish on the
+    stationarity system, from the gradient and Hessian its descent ended
+    with, and counts if its tangential gradient at the polished point is
+    at most 1e-9; the first best value over the starts that count is
+    returned. Returns one (xi, value) per problem. An error raised while a
+    problem descends ends the call, after the problems before it are
+    solved: the error of its first start in start order that raised, as
+    if the starts had descended one after another.
     """
     problems = list(problems)
     for r, mode in problems:
@@ -389,14 +464,15 @@ def sphere_extremize(chart, center, problems, n_starts=8, seed=0):
         while len(dirs) < n_starts:
             v = rng.normal(size=chart.dim)
             dirs.append(v / np.linalg.norm(v))
-        ends = [_sphere_descent(chart, center_xi, center_xi + r * v, r, sign, floor)
-                for v in dirs]
+        ends = _sphere_descents(chart, center_xi, center_xi + r * np.array(dirs), r, sign, floor)
         best_xi, best_val = None, None
-        for xi, point in ends:
+        for xi, gh in ends:
+            if isinstance(gh, TangencyLabError):
+                raise gh
             u = xi - center_xi
-            lam = (point.gradient() @ u) / (2.0 * (u @ u))
+            lam = (gh[0] @ u) / (2.0 * (u @ u))
             sol_xi, _, status = _newton_solve(
-                grad_fn, lambda x: point.gradient_hessian(), center_xi, xi, lam, r, polish_cfg)
+                grad_fn, lambda x: gh, center_xi, xi, lam, r, polish_cfg)
             if status != "ok":
                 continue
             # the polish meets |u|^2 = r^2 to 1e-10: the point is put on the

@@ -29,6 +29,19 @@ def run_cli(args, cwd, env_extra=None, timeout=600):
         cwd=cwd, env=env, capture_output=True, text=True, timeout=timeout)
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.fixture(autouse=True)
+def json_outputs_parse(tmp_path):
+    # every JSON file a test of this module leaves behind is valid JSON: a
+    # non-finite float would be written as a bare inf or nan
+    yield
+    for path in tmp_path.rglob("*.json"):
+        json.loads(path.read_text(), parse_constant=_reject_constant)
+
+
 # ---------------------------------------------------------- config errors
 
 
@@ -44,9 +57,17 @@ def run_cli(args, cwd, env_extra=None, timeout=600):
     ["toy", "--center", "nan:0"],
     ["toy", "--extent=-inf:inf"],
     ["arcs", "--family", "C0I", "--d", "7", "--k", "1", "--jobs", "-1"],
+    ["toy", "--resolution", "64", "--out", os.devnull],
+    ["arcs", "--family", "C1I", "--d", "7", "--k", "1", "--delta-r", "0.05", "--r-max", "inf"],
+    ["arcs", "--family", "C1I", "--d", "7", "--k", "1", "--newton-tol", "nan"],
+    ["arcs", "--family", "C1I", "--d", "7", "--k", "1", "--delta-r", "nan"],
+    ["arcs", "--family", "C1I", "--d", "7", "--k", "1", "--r-min", "nan"],
+    ["arcs", "--family", "C1I", "--d", "7", "--k", "1", "--cond-threshold", "inf"],
 ])
 def test_bad_configuration_exits_2(tmp_path, args):
-    res = run_cli(args + ["--out", "o"], tmp_path)
+    if "--out" not in args:
+        args = args + ["--out", "o"]
+    res = run_cli(args, tmp_path)
     assert res.returncode == 2, res.stderr
     assert res.stderr.strip()
     assert not (tmp_path / "o").exists() or not any((tmp_path / "o").iterdir())

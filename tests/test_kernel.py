@@ -310,10 +310,19 @@ def test_stacked_points_match_single_points(blocks):
             assert L[i] == singles[j].loss()
             g = singles[j].gradient()
             assert np.array_equal(G[i], g) and dots[i] == g @ g
+        # so do the gradient and Hessian of a fresh stack, read first
+        G, H = chart_point(chart, S).gradient_hessian()
+        assert H.shape == (len(rows), chart.dim, chart.dim)
+        for i, j in enumerate(rows):
+            g, h = singles[j].gradient_hessian()
+            assert np.array_equal(G[i], g) and np.array_equal(H[i], h)
     # one point is a stack of one
     one = chart_point(chart, X[5:6])
     assert one.loss()[0] == singles[5].loss()
     assert np.array_equal(one.gradient()[0], singles[5].gradient())
+    G, H = one.gradient_hessian()
+    assert np.array_equal(G[0], singles[5].gradient_hessian()[0])
+    assert np.array_equal(H[0], singles[5].gradient_hessian()[1])
 
 
 def test_stacked_points_raise_the_single_point_errors():
@@ -343,5 +352,7 @@ def test_stacked_points_raise_the_single_point_errors():
         stack.gradient()
     with pytest.raises(NearParallelRows):
         chart_point(chart, Y[[0, 4]]).gradient()
+    with pytest.raises(NearParallelRows):
+        chart_point(chart, Y).gradient_hessian()
     assert np.array_equal(chart_point(chart, Y[[0, 2]]).gradient(),
                           [chart_gradient(chart, X[i]) for i in (0, 2)])

@@ -14,7 +14,14 @@ from tangency_lab.atlas import (
     refined_minimum,
     seed_minimum,
 )
-from tangency_lab.errors import BadDirection, DimensionMismatch, TangencyLabError
+from tangency_lab.errors import (
+    BadDirection,
+    DegenerateVector,
+    DimensionMismatch,
+    NearParallelRows,
+    NoConvergence,
+    TangencyLabError,
+)
 from tangency_lab.kernel import loss
 from tangency_lab.symmetry import (
     YoungPartitionGroup,
@@ -173,6 +180,10 @@ def test_trace_config_validation():
         TraceConfig(r_max=1e-8)
     with pytest.raises(ValueError):
         TraceConfig(r_min=0.0)
+    for name in ("delta_r", "r_min", "r_max", "newton_tol", "cond_threshold"):
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ValueError, match=name):
+                TraceConfig(**{name: bad})
 
 
 # ------------------------------------------------------------- trace_arc
@@ -396,6 +407,156 @@ def test_sphere_extrema_are_second_order_points_on_the_sphere(family, d):
         sign = 1.0 if mode == "min" else -1.0
         lowest = np.linalg.eigvalsh(sign * _tangent_lagrangian_hessian(g, H, u))[0]
         assert lowest >= -2.0 * np.finfo(float).eps * d ** 2 / r ** 2, (mode, r)
+
+
+def _sphere_descent(chart, center, xi, r, sign, floor):
+    # the trust-region descent of `tracer._sphere_descents` for one start,
+    # run alone: the reference the lockstep rows must equal bit for bit
+    point = chart_point(chart, xi)
+    f = point.loss()
+    delta = r
+    for _ in range(1000):
+        g, H = point.gradient_hessian()
+        u = xi - center
+        Q = tracer._tangent_basis(u)
+        HQ = Q.T @ H @ Q
+        HQ -= ((g @ u) / (u @ u)) * np.eye(HQ.shape[0])
+        mu, V = np.linalg.eigh(sign * HQ)
+        QV = Q @ V
+        beta = sign * (g @ QV)
+        p = tracer._trust_region_step(mu, beta, delta)
+        pred = -(beta @ p + 0.5 * ((mu * p) @ p))
+        newton = mu[0] > 0.0 and 0.0 < p @ p < delta * delta
+        if pred <= floor and not newton:
+            break
+        x = u + QV @ p
+        xi_new = center + (r / np.linalg.norm(x)) * x
+        trial = chart_point(chart, xi_new)
+        if pred <= floor:
+            return xi_new, trial
+        f_new = trial.loss()
+        rho = sign * (f - f_new) / pred
+        if rho < 0.25:
+            delta *= 0.25
+        elif rho > 0.75 and np.linalg.norm(p) >= 0.99 * delta:
+            delta = min(2.0 * delta, r)
+        if rho > 0.1:
+            xi, point, f = xi_new, trial, f_new
+    return xi, point
+
+
+def _sphere_extremize_start_by_start(chart, center, problems, n_starts=8, seed=0):
+    # `sphere_extremize` with each start's descent run to its end before
+    # the next start begins
+    center_xi = transfer(center.chart, center.xi, chart)
+    evecs = np.linalg.eigh(chart_hessian(chart, center_xi))[1]
+    floor = np.finfo(float).eps * chart.d ** 2
+    grad_fn = lambda x: chart_gradient(chart, x)
+    results = []
+    for r, mode in problems:
+        sign = 1.0 if mode == "min" else -1.0
+        pick = 0 if mode == "min" else -1
+        rng = np.random.default_rng(seed)
+        dirs = [evecs[:, pick], -evecs[:, pick]]
+        while len(dirs) < n_starts:
+            v = rng.normal(size=chart.dim)
+            dirs.append(v / np.linalg.norm(v))
+        ends = [_sphere_descent(chart, center_xi, center_xi + r * v, r, sign, floor)
+                for v in dirs]
+        best_xi, best_val = None, None
+        for xi, point in ends:
+            u = xi - center_xi
+            lam = (point.gradient() @ u) / (2.0 * (u @ u))
+            sol_xi, _, status = _newton_solve(
+                grad_fn, lambda x: point.gradient_hessian(), center_xi, xi, lam, r, TraceConfig())
+            if status != "ok":
+                continue
+            u = sol_xi - center_xi
+            sol_xi = center_xi + (r / np.linalg.norm(u)) * u
+            point = chart_point(chart, sol_xi)
+            g = point.gradient()
+            u = sol_xi - center_xi
+            if np.linalg.norm(g - ((g @ u) / (u @ u)) * u) > 1e-9:
+                continue
+            fx = point.loss()
+            if best_val is None or sign * (fx - best_val) < 0:
+                best_xi, best_val = sol_xi, fx
+        if best_xi is None:
+            raise NoConvergence("no start reached stationarity on the sphere")
+        results.append((best_xi, float(best_val)))
+    return results
+
+
+@pytest.mark.parametrize("n_starts", [8, 9])
+@pytest.mark.parametrize("family", ["C0I", "C0II", "C1I", "C1II"])
+@pytest.mark.parametrize("d, k", [(7, 3), (20, 2)])
+def test_lockstep_sphere_descents_match_the_start_by_start_loop(d, k, family, n_starts):
+    rec = refined_minimum(family, d)
+    chart = build_chart(d, YoungPartitionGroup((d - k,) + (1,) * k))
+    problems = [(r, mode) for r in (1e-3, 0.1) for mode in ("min", "max")]
+    lockstep = sphere_extremize(chart, rec, problems, n_starts=n_starts)
+    alone = _sphere_extremize_start_by_start(chart, rec, problems, n_starts=n_starts)
+    for (xi, value), (xi_ref, value_ref) in zip(lockstep, alone, strict=True):
+        assert np.array_equal(xi, xi_ref) and value == value_ref
+
+
+@pytest.mark.parametrize("kind", ["point", "derivatives"])
+def test_sphere_error_of_the_first_failing_start_wins(c0i_record, monkeypatch, kind):
+    # start 4 fails at the third point whose orbit terms (or derivatives)
+    # its descent evaluates, start 7 at its first: the lockstep meets
+    # start 7's error rounds earlier, and still raises start 4's, as the
+    # start-by-start loop does
+    chart = build_chart(7, YoungPartitionGroup((6, 1)))
+    problem = [(0.1, "min")]
+    terms, gradient = kernel._orbit_terms, kernel._orbit_gradient
+    seen, rows_of = [], {}
+
+    def recording_terms(layout, xi):
+        out = terms(layout, xi)
+        rows_of[id(out)] = [x.tobytes() for x in np.atleast_2d(xi)]
+        if kind == "point":
+            seen.extend(rows_of[id(out)])
+        return out
+
+    def recording_gradient(layout, orbit_terms):
+        if kind == "derivatives":
+            seen.extend(rows_of[id(orbit_terms)])
+        return gradient(layout, orbit_terms)
+
+    monkeypatch.setattr(kernel, "_orbit_terms", recording_terms)
+    monkeypatch.setattr(kernel, "_orbit_gradient", recording_gradient)
+    center = transfer(c0i_record.chart, c0i_record.xi, chart)
+    evecs = np.linalg.eigh(chart_hessian(chart, center))[1]
+    rng = np.random.default_rng(0)
+    dirs = [evecs[:, 0], -evecs[:, 0]] + [rng.normal(size=chart.dim) for _ in range(6)]
+    floor = np.finfo(float).eps * chart.d ** 2
+    bad = {}
+    for start, nth in ((4, 2), (7, 0)):
+        seen.clear()
+        v = dirs[start] / np.linalg.norm(dirs[start])
+        _sphere_descent(chart, center, center + 0.1 * v, 0.1, 1.0, floor)
+        assert len(seen) > nth
+        bad[seen[nth]] = start
+    error = DegenerateVector if kind == "point" else NearParallelRows
+
+    def failing_terms(layout, xi):
+        out = recording_terms(layout, xi)
+        starts = [bad[x] for x in rows_of[id(out)] if x in bad]
+        if starts and kind == "point":
+            raise error(f"start {starts[0]}")
+        return out
+
+    def failing_gradient(layout, orbit_terms):
+        starts = [bad[x] for x in rows_of[id(orbit_terms)] if x in bad]
+        if starts and kind == "derivatives":
+            raise error(f"start {starts[0]}")
+        return gradient(layout, orbit_terms)
+
+    monkeypatch.setattr(kernel, "_orbit_terms", failing_terms)
+    monkeypatch.setattr(kernel, "_orbit_gradient", failing_gradient)
+    for extremize in (sphere_extremize, _sphere_extremize_start_by_start):
+        with pytest.raises(error, match="^start 4$"):
+            extremize(chart, c0i_record, problem)
 
 
 def test_failing_sphere_problem_raises_its_own_error_after_the_earlier_ones(monkeypatch):
