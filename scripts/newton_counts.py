@@ -10,9 +10,9 @@ gradient-Hessian evaluations, the gradients evaluated by either, and
 the SVDs (`np.linalg.svd` or `np.linalg.cond`), plus the wall time.
 The counts do not depend on the machine. The counters wrap the
 gradient and Hessian functions each solve is handed, from outside the
-package, so the script counts any version of `tangency_lab` that is
+package, so the script counts whichever version of `tangency_lab` is
 first on the path, one whose second function returns the Hessian alone
-included.
+included, as long as its `arc_radius_table` takes one cell.
 """
 
 import argparse
@@ -70,9 +70,8 @@ def main():
     atlas.refined_minimum(args.family, args.d)
     cfg = tracer.TraceConfig(delta_r=args.delta_r)
     t0 = time.perf_counter()
-    table = tracer.arc_radius_table((args.family,), (args.k,), (args.d,), cfg)
+    cell = tracer.arc_radius_table(args.family, args.k, args.d, cfg)
     wall = time.perf_counter() - t0
-    cell = table[(args.family, args.k, args.d)]
     print(json.dumps({
         "cell": {"family": args.family, "k": args.k, "d": args.d, "delta_r": args.delta_r},
         "value": cell["value"],

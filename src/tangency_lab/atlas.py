@@ -32,7 +32,6 @@ from .symmetry import (
     YoungPartitionGroup,
     build_chart,
     detect_diagonal_isotropy,
-    embed,
     orbit_coordinates,
 )
 
@@ -145,11 +144,6 @@ def chart_hessian(chart, xi):
     return chart_point(chart, xi).gradient_hessian()[1]
 
 
-def chart_gradient_hessian(chart, xi):
-    """`chart_gradient` and `chart_hessian` at one point, from one orbit evaluation."""
-    return chart_point(chart, xi).gradient_hessian()
-
-
 def refine_critical(chart, xi0, tol=1e-11, max_iter=50):
     """Newton-polish a chart seed to a critical point of the restricted loss.
 
@@ -232,8 +226,7 @@ def _c1ii_seed(d):
             continue
         if rec.loss_value <= 1e-8:
             continue  # fell back to the global minimum
-        Wr = embed(chart, rec.xi)
-        if detect_diagonal_isotropy(Wr).blocks != (d - 1, 1):
+        if detect_diagonal_isotropy(chart, rec.xi).blocks != (d - 1, 1):
             continue
         if d >= 20 and abs(rec.loss_value - target) > gate:
             continue

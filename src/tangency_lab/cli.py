@@ -66,6 +66,12 @@ def _json_text(obj):
 
 
 def _write(outdir, name, text):
+    """Write one output file, creating the output directory on first use,
+    so that a run refused before its first write leaves none behind."""
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"cannot create output directory {outdir!r}: {e}")
     path = os.path.join(outdir, name)
     with open(path, "w") as fh:
         fh.write(text)
@@ -233,9 +239,7 @@ def _trace_config(args):
 
 
 def _arc_cell(task):
-    family, k, d, cfg = task
-    table = arc_radius_table([family], [k], [d], cfg=cfg, keep_arcs=True)
-    return (family, k, d), table[(family, k, d)]
+    return arc_radius_table(*task)
 
 
 def cmd_arcs(args, outdir):
@@ -257,7 +261,8 @@ def cmd_arcs(args, outdir):
         "trace": dataclasses.asdict(cfg),
         "seed": args.seed,
     }
-    tasks = [(fam, k, d, cfg) for d in sorted(ds) for k in sorted(ks) for fam in families]
+    keys = [(fam, k, d) for d in sorted(ds) for k in sorted(ks) for fam in families]
+    tasks = [key + (cfg,) for key in keys]
     # a fork-based pool starts every worker at its first submit
     workers = min(args.jobs, len(tasks))
     if workers > 1:
@@ -266,9 +271,9 @@ def cmd_arcs(args, outdir):
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = dict(pool.map(_arc_cell, tasks))
+            results = dict(zip(keys, pool.map(_arc_cell, tasks)))
     else:
-        results = dict(_arc_cell(t) for t in tasks)
+        results = dict(zip(keys, map(_arc_cell, tasks)))
 
     failed = False
     rows = []
@@ -347,7 +352,7 @@ def cmd_sphere(args, outdir):
 
     def describe(xi):
         disp = xi - center
-        iso = _partition_text(detect_diagonal_isotropy(embed(chart, disp)))
+        iso = _partition_text(detect_diagonal_isotropy(chart, disp))
         norms = {
             lab: float(np.linalg.norm(chart_isotypic_projector(chart, lab, special) @ disp))
             for lab in ISOTYPIC_LABELS
@@ -551,10 +556,8 @@ def main(argv=None):
         _apply_config_file(parser, argv)
         args = parser.parse_args(argv)
         outdir = os.environ.get("TANGENCY_LAB_OUT") or args.out
-        try:
-            os.makedirs(outdir, exist_ok=True)
-        except OSError as e:
-            raise ConfigError(f"cannot create output directory {outdir!r}: {e}")
+        if os.path.exists(outdir) and not os.path.isdir(outdir):
+            raise ConfigError(f"output directory {outdir!r} names a file")
         return args.func(args, outdir)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
@@ -563,7 +566,7 @@ def main(argv=None):
         report = {"error": type(e).__name__, "message": str(e)}
         try:
             _write_json(outdir, "error.json", report)
-        except OSError:
+        except (ConfigError, OSError):
             pass
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 3

@@ -4,13 +4,14 @@ A permutation pi acts on W by simultaneous row and column permutation,
 W -> P W P^T.  This module builds orthonormal charts of the fixed-point
 subspaces of diagonal Young subgroups, the four isotypic projectors of the
 full diagonal action (labels t, s, x, y), and a detector for the largest
-diagonal Young subgroup fixing a given matrix. The projectors exist twice:
+diagonal Young subgroup fixing a chart point. The projectors exist twice:
 on d x d matrices (`isotypic_project`), and as dim x dim matrices on a
 chart, read off its orbit values (`chart_isotypic_projector`), which is
-what spectra and sphere labels use. The dense forms, with `embed`,
-`project` and `detect_diagonal_isotropy`, are the oracle the chart forms
-are tested against; the cluster labels of `tracer.minimal_eig_directions`
-and isotropy detection still use them.
+what spectra and sphere labels use. The detector reads a chart point's
+representative coordinates, so no d x d matrix is formed. The dense
+forms, `embed`, `project` and `isotypic_project`, are the oracle the
+chart forms are tested against; the cluster labels of
+`tracer.minimal_eig_directions` and `spectrum --brute` still use them.
 """
 
 import functools
@@ -116,13 +117,6 @@ class FixedPointChart:
     def dim(self):
         return len(self.orbits)
 
-    @functools.cached_property
-    def basis(self):
-        """Dense (dim, d, d) basis, built on first use and read-only."""
-        arr = np.array([embed(self, e) for e in np.eye(self.dim)])
-        arr.setflags(write=False)
-        return arr
-
 
 def build_chart(d, group):
     """Orthonormal chart of M(d,d)^G for G the given diagonal Young subgroup.
@@ -136,8 +130,7 @@ def build_chart(d, group):
     corner entry).
 
     Charts are memoized on (d, blocks): equal arguments return the same
-    chart object. A chart holds O(q^2) numbers; its dense basis is built
-    only when `basis` is read.
+    chart object. A chart holds O(q^2) numbers.
     """
     blocks = group.blocks if isinstance(group, YoungPartitionGroup) else tuple(group)
     return _build_chart(int(d), tuple(int(a) for a in blocks))
@@ -444,25 +437,19 @@ def _chart_isotypic_projector(chart, label, p):
 def _fixing_pairs(W, F, U, tol):
     """Boolean (len(F), len(U)) array: does transposing coordinates f and u
     (rows and columns) fix W entrywise within tol?"""
-    d = W.shape[0]
-    out = np.empty((F.size, U.size), dtype=bool)
-    # bound the (chunk, len(U), d) difference arrays to about 32 MB
-    step = max(1, 2 ** 22 // max(1, U.size * d))
-    for s in range(0, F.size, step):
-        f = F[s:s + step]
-        ok = np.abs(W[f, f][:, None] - W[U, U][None, :]) <= tol
-        ok &= np.abs(W[np.ix_(f, U)] - W[np.ix_(U, f)].T) <= tol
-        for M in (W, W.T):  # rows, then columns, off the swapped pair
-            D = np.abs(M[f][:, None, :] - M[U][None, :, :])
-            D[np.arange(f.size), :, f] = 0.0
-            D[:, np.arange(U.size), U] = 0.0
-            ok &= D.max(axis=2) <= tol
-        out[s:s + step] = ok
-    return out
+    ok = np.abs(W[F, F][:, None] - W[U, U][None, :]) <= tol
+    ok &= np.abs(W[np.ix_(F, U)] - W[np.ix_(U, F)].T) <= tol
+    for M in (W, W.T):  # rows, then columns, off the swapped pair
+        D = np.abs(M[F][:, None, :] - M[U][None, :, :])
+        D[np.arange(F.size), :, F] = 0.0
+        D[:, np.arange(U.size), U] = 0.0
+        ok &= D.max(axis=2) <= tol
+    return ok
 
 
-def detect_diagonal_isotropy(W, tol=1e-8):
-    """Partition of the coordinates into the largest swappable blocks.
+def detect_diagonal_isotropy(chart, xi, tol=1e-8):
+    """Largest diagonal Young subgroup fixing the matrix W with chart
+    coordinates xi, as a partition of its coordinates.
 
     Two coordinates belong to the same block when their transposition fixes
     W entrywise within tol under the simultaneous action; the relation is an
@@ -472,21 +459,34 @@ def detect_diagonal_isotropy(W, tol=1e-8):
     graph, found breadth first: each level tests every newly reached
     coordinate against all unreached ones at once. Block sizes are returned
     in descending order.
+
+    The graph is read on the m <= 3q representative coordinates of the
+    chart's layout, from the m x m principal submatrix of W, and each
+    representative counts for the coordinates it stands for. This is
+    exact: the submatrix holds the bits `embed` writes there; the chart's
+    group swaps each coordinate with the representative standing for it,
+    so they join; and for representatives f and u, every row and column of
+    W off the pair equals, at f and u, one of a representative off the
+    pair (a block of four or more coordinates has three representatives),
+    so the test over d coordinates compares the same numbers as over m.
     """
-    W = np.asarray(W, dtype=float)
-    d = W.shape[0]
-    unreached = np.ones(d, dtype=bool)
+    xi = np.asarray(xi, dtype=float).ravel()
+    if xi.shape[0] != chart.dim:
+        raise DimensionMismatch(f"expected {chart.dim} coordinates, got {xi.shape[0]}")
+    lay = chart.layout
+    W = (xi / lay.sqrt_sizes)[lay.cc_orbit]
+    unreached = np.ones(len(W), dtype=bool)
     sizes = []
-    for start in range(d):
+    for start in range(len(W)):
         if not unreached[start]:
             continue
         unreached[start] = False
         frontier = np.array([start])
-        size = 1
+        size = lay.weights[start]
         while frontier.size and unreached.any():
             U = np.flatnonzero(unreached)
             frontier = U[_fixing_pairs(W, frontier, U, tol).any(axis=0)]
             unreached[frontier] = False
-            size += frontier.size
-        sizes.append(size)
+            size += lay.weights[frontier].sum()
+        sizes.append(int(size))
     return YoungPartitionGroup(tuple(sorted(sizes, reverse=True)))

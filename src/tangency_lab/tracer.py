@@ -14,7 +14,6 @@ import numpy as np
 
 from .atlas import (
     chart_gradient,
-    chart_gradient_hessian,
     chart_hessian,
     chart_point,
     refined_minimum,
@@ -241,7 +240,7 @@ def trace_arc(chart, center, direction, cfg=None):
 
     samples, termination, terminal = continue_arc(
         lambda xi: chart_gradient(chart, xi),
-        lambda xi: chart_gradient_hessian(chart, xi),
+        lambda xi: chart_point(chart, xi).gradient_hessian(),
         center_xi,
         v,
         ray,
@@ -560,72 +559,54 @@ def minimal_eig_directions(chart, H, cluster_tol=1e-5):
     return cands, lam0
 
 
-def arc_radius_table(families, ambients, ds, cfg=None, refine=None, keep_arcs=False):
-    """Terminal radii of minimal-eigenvalue arcs over a (family, ambient, d) grid.
+def arc_radius_table(family, k, d, cfg=None, refine=None):
+    """Terminal radius of the minimal-eigenvalue arcs of one (family, k, d) cell.
 
-    Each ambient is an integer k naming the (d-k, 1^k) chart, i.e. the
-    number of singleton blocks. Every canonical direction of the
-    minimal eigenvalue cluster is traced with both signs; the cell
-    reports the smallest finite terminal radius, or 'inf' when every run
-    reaches r_max. Per-cell failures are recorded as 'error:<name>'
-    without aborting the rest of the table.
+    k names the (d-k, 1^k) ambient chart, i.e. the number of singleton
+    blocks. Every canonical direction of the minimal eigenvalue cluster
+    is traced with both signs; the cell reports the smallest finite
+    terminal radius, or 'inf' when every run reaches r_max, and carries
+    the ArcRecord that realized it (for 'inf', the first arc traced). A
+    failure to set the cell up is reported as 'error:<name>'.
 
     `refine` maps (family, d) to a CriticalPointRecord, by default the
-    memoized `atlas.refined_minimum`. With `keep_arcs` each cell also
-    carries the ArcRecord that realized its radius.
+    memoized `atlas.refined_minimum`.
     """
     cfg = cfg or TraceConfig()
     refine = refine or refined_minimum
-
-    table = {}
-    for d in ds:
-        for k in ambients:
-            chart = build_chart(d, YoungPartitionGroup((d - k,) + (1,) * k))
-            for family in families:
-                cell = {}
-                try:
-                    rec = refine(family, d)
-                    center_xi = transfer(rec.chart, rec.xi, chart)
-                    Hc = chart_hessian(chart, center_xi)
-                    dirs, lam0 = minimal_eig_directions(chart, Hc)
-                except TangencyLabError as e:
-                    cell["value"] = f"error:{type(e).__name__}"
-                    cell["error"] = str(e)
-                    table[(family, k, d)] = cell
-                    continue
-                radii, runs, arcs, fallback = [], [], [], None
-                floor = 2.0 * cfg.delta_r
-                for v in dirs:
-                    for s in (1.0, -1.0):
-                        try:
-                            arc = trace_arc(chart, rec, s * v, cfg)
-                        except TangencyLabError as e:
-                            runs.append((f"error:{type(e).__name__}", None))
-                            continue
-                        runs.append((arc.termination, float(arc.terminal_radius)))
-                        if fallback is None:
-                            fallback = arc
-                        # an arc that dies almost at launch supports no
-                        # tangency branch in this direction; skip it
-                        if arc.termination != "ReachedRmax" and arc.terminal_radius > floor:
-                            radii.append(arc.terminal_radius)
-                            arcs.append(arc)
-                if radii:
-                    best = int(np.argmin(radii))
-                    cell["radius"] = radii[best]
-                    cell["value"] = "%.2f" % radii[best]
-                    if keep_arcs:
-                        cell["arc"] = arcs[best]
-                else:
-                    cell["radius"] = None
-                    cell["value"] = "inf"
-                    if keep_arcs and fallback is not None:
-                        cell["arc"] = fallback
-                cell["runs"] = tuple(runs)
-                cell["n_directions"] = len(dirs)
-                cell["min_eigenvalue"] = lam0
-                table[(family, k, d)] = cell
-    return table
+    chart = build_chart(d, YoungPartitionGroup((d - k,) + (1,) * k))
+    try:
+        rec = refine(family, d)
+        center_xi = transfer(rec.chart, rec.xi, chart)
+        dirs, lam0 = minimal_eig_directions(chart, chart_hessian(chart, center_xi))
+    except TangencyLabError as e:
+        return {"value": f"error:{type(e).__name__}", "error": str(e)}
+    radii, runs, arcs, fallback = [], [], [], None
+    floor = 2.0 * cfg.delta_r
+    for v in dirs:
+        for s in (1.0, -1.0):
+            try:
+                arc = trace_arc(chart, rec, s * v, cfg)
+            except TangencyLabError as e:
+                runs.append((f"error:{type(e).__name__}", None))
+                continue
+            runs.append((arc.termination, float(arc.terminal_radius)))
+            if fallback is None:
+                fallback = arc
+            # an arc that dies almost at launch supports no tangency
+            # branch in this direction; skip it
+            if arc.termination != "ReachedRmax" and arc.terminal_radius > floor:
+                radii.append(arc.terminal_radius)
+                arcs.append(arc)
+    if radii:
+        best = int(np.argmin(radii))
+        cell = {"radius": radii[best], "value": "%.2f" % radii[best], "arc": arcs[best]}
+    else:
+        cell = {"radius": None, "value": "inf"}
+        if fallback is not None:
+            cell["arc"] = fallback
+    cell.update(runs=tuple(runs), n_directions=len(dirs), min_eigenvalue=lam0)
+    return cell
 
 
 def arc_to_json(arc, cfg=None):

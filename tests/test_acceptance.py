@@ -148,9 +148,8 @@ def test_criterion_5_arc_radius_grid():
         for k in (1, 2, 3):
             for fam in FAMILIES:
                 t0 = time.perf_counter()
-                table = arc_radius_table((fam,), (k,), (d,), refine=refined)
+                cell = arc_radius_table(fam, k, d, refine=refined)
                 dt = time.perf_counter() - t0
-                cell = table[(fam, k, d)]
                 target = _RADIUS_GRID[d][(k, fam)]
                 if target is None:
                     ok = cell["value"] == "inf" and all(
@@ -186,8 +185,7 @@ def test_criterion_6_minimal_direction_symmetry():
             V = embed(chart, dirs[0])
             special = (d - 1,) if fam.startswith("C1") else ()
             resid = float(np.linalg.norm(V - isotypic_project(V, label, special=special)))
-            blocks = detect_diagonal_isotropy(
-                embed(rec.chart, rec.xi) + 1e-2 * V).blocks
+            blocks = detect_diagonal_isotropy(chart, center + 1e-2 * dirs[0]).blocks
             print(f"{fam} d={d}: {label}-residual {resid:.2e}; "
                   f"displaced isotropy {blocks} want {stated(d)}")
             if resid > 1e-4:

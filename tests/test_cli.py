@@ -8,7 +8,8 @@ import sys
 import pytest
 
 import tangency_lab
-from tangency_lab import cli
+from tangency_lab import cli, symmetry
+from tangency_lab.atlas import refined_minimum
 from tangency_lab.tracer import TraceConfig
 
 # the directory holding the package this suite imported; the child gets it
@@ -16,16 +17,17 @@ from tangency_lab.tracer import TraceConfig
 # installed or not
 PACKAGE_ROOT = os.path.dirname(os.path.dirname(
     os.path.abspath(tangency_lab.__file__)))
+SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
 
 
-def run_cli(args, cwd, env_extra=None, timeout=600):
+def run_cli(args, cwd, env_extra=None, timeout=600, prog=("-m", "tangency_lab.cli")):
     env = {k: v for k, v in os.environ.items() if k != "TANGENCY_LAB_OUT"}
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
-        [sys.executable, "-m", "tangency_lab.cli", *args],
+        [sys.executable, *prog, *args],
         cwd=cwd, env=env, capture_output=True, text=True, timeout=timeout)
 
 
@@ -70,7 +72,8 @@ def test_bad_configuration_exits_2(tmp_path, args):
     res = run_cli(args, tmp_path)
     assert res.returncode == 2, res.stderr
     assert res.stderr.strip()
-    assert not (tmp_path / "o").exists() or not any((tmp_path / "o").iterdir())
+    assert "Traceback" not in res.stderr
+    assert not (tmp_path / "o").exists()
 
 
 # ------------------------------------------------------------------- toy
@@ -268,6 +271,27 @@ def test_sphere_maxima_at_d100_pass_the_stationarity_test(tmp_path, family):
     assert len(rows) == 2 and all(row["M_r"] > row["m_r"] for row in rows)
 
 
+def test_sphere_at_d1000_forms_no_dense_matrix(tmp_path, monkeypatch):
+    # the center's refinement (the C1II seed checks its isotropy) and the
+    # reported isotropies read chart coordinates only: every binding of
+    # the d x d embedding in the package raises
+    def forbidden(*args, **kwargs):
+        raise AssertionError("embed called")
+
+    dense = symmetry.embed
+    for name, module in list(sys.modules.items()):
+        if name.startswith("tangency_lab") and getattr(module, "embed", None) is dense:
+            monkeypatch.setattr(module, "embed", forbidden)
+    assert cli.embed is forbidden
+    refined_minimum.cache_clear()
+    monkeypatch.delenv("TANGENCY_LAB_OUT", raising=False)
+    out = tmp_path / "o"
+    assert cli.main(["sphere", "--family", "C1II", "--d", "1000", "--k", "2",
+                     "--r-count", "2", "--out", str(out)]) == 0
+    rows = json.loads((out / "sphere_C1II_d1000_k2.json").read_text())["rows"]
+    assert len(rows) == 2 and all(row["min_isotropy"] and row["max_isotropy"] for row in rows)
+
+
 def test_sphere_modes_do_not_couple(tmp_path):
     # the minima and maxima of a --mode both run are those of the runs
     # that ask for one mode, to the last bit
@@ -282,6 +306,26 @@ def test_sphere_modes_do_not_couple(tmp_path):
         assert len(rows[mode]) == len(rows["both"]) == 2
         for alone, both in zip(rows[mode], rows["both"]):
             assert [repr(both[c]) for c in ("r",) + cols] == [repr(alone[c]) for c in ("r",) + cols]
+
+
+# --------------------------------------------------------------- scripts
+
+
+@pytest.mark.parametrize("script, args, keys", [
+    ("newton_counts.py", ["--family", "C1I", "--d", "7", "--k", "1", "--delta-r", "0.004"],
+     ("value", "runs")),
+    ("sphere_counts.py", ["--family", "C1II", "--d", "20", "--k", "2", "--r-count", "2"],
+     ("orbit_terms_calls",)),
+])
+def test_count_scripts_run(tmp_path, script, args, keys):
+    # the scripts call the package's API from outside it, so a change of
+    # that API shows here
+    res = run_cli(args, tmp_path, prog=(os.path.join(SCRIPTS, script),))
+    assert res.returncode == 0, res.stderr
+    report = json.loads(res.stdout)
+    assert report.get("exit_code", 0) == 0
+    for key in keys:
+        assert key in report
 
 
 # ------------------------------------------------------------ env + config

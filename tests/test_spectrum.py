@@ -172,7 +172,8 @@ def _dense_component_eigenvalues(rec, label, c):
     d = rec.d
     q = rec.chart.group.blocks[0]
     chart = build_chart(d, (q - c,) + (1,) * (d - q + c))
-    A = np.array([isotypic_project(B, label, special=range(q, d)) for B in chart.basis])
+    A = np.array([isotypic_project(embed(chart, e), label, special=range(q, d))
+                  for e in np.eye(chart.dim)])
     U, sv, _ = np.linalg.svd(A.reshape(len(A), -1).T, full_matrices=False)
     R = U[:, sv > 1e-8].T.reshape(-1, d, d)
     HR = kernel.hvp(embed(rec.chart, rec.xi), R)
@@ -210,8 +211,8 @@ def test_spectrum_at_a_noncritical_point_with_two_fixed_coordinates():
 
 def test_spectrum_at_d1000_forms_no_dense_kernel_call(monkeypatch):
     # refinement and spectrum run on chart orbits only: every binding of
-    # the d x d kernel in the package raises, and for the spectra so do
-    # the d x d embedding and isotypic projection
+    # the d x d kernel, embedding and isotypic projection in the package
+    # raises
     def forbidden(*args, **kwargs):
         raise AssertionError("dense function called")
 
@@ -224,14 +225,12 @@ def test_spectrum_at_d1000_forms_no_dense_kernel_call(monkeypatch):
                         monkeypatch.setattr(module, fn, forbidden)
 
     forbid(kernel, ("loss", "grad_loss", "hvp"))
-    assert spectrum_module.hvp is forbidden
-    d = 1000
-    # the C1II seed checks its isotropy on the d x d matrix, so the dense
-    # symmetry functions are forbidden only once the records are refined
-    records = {fam: refine_critical(*seed_minimum(fam, d)) for fam in FAMILIES}
     forbid(symmetry, ("embed", "isotypic_project"))
+    assert spectrum_module.hvp is forbidden
     assert symmetry.embed is forbidden
-    for fam, rec in records.items():
+    d = 1000
+    for fam in FAMILIES:
+        rec = refine_critical(*seed_minimum(fam, d))
         rep = full_spectrum(rec)
         pred = predicted_spectrum(fam, d)
         assert sum(m for _, m, _ in rep.entries) == d * d

@@ -13,6 +13,7 @@ from tangency_lab.symmetry import (
     detect_diagonal_isotropy,
     embed,
     isotypic_project,
+    orbit_coordinates,
     project,
     transfer,
 )
@@ -20,6 +21,11 @@ from tangency_lab.symmetry import (
 
 def random_matrix(d, seed):
     return np.random.default_rng(seed).normal(size=(d, d))
+
+
+def dense_basis(chart):
+    """The chart's orthonormal basis as a (dim, d, d) stack of matrices."""
+    return np.array([embed(chart, e) for e in np.eye(chart.dim)])
 
 
 def block_permutation_matrices(d, blocks):
@@ -47,7 +53,7 @@ def test_chart_dimension_formula():
 
 def test_chart_basis_orthonormal():
     chart = build_chart(8, YoungPartitionGroup((6, 1, 1)))
-    B = np.stack([b.ravel() for b in chart.basis])
+    B = dense_basis(chart).reshape(chart.dim, -1)
     G = B @ B.T
     assert np.max(np.abs(G - np.eye(chart.dim))) <= 1e-12
 
@@ -231,7 +237,7 @@ def test_chart_projector_matches_dense_oracle(blocks):
         for lab in ISOTYPIC_LABELS:
             P = chart_isotypic_projector(chart, lab, special)
             dense = np.column_stack([project(chart, isotypic_project(B, lab, special=special))
-                                     for B in chart.basis])
+                                     for B in dense_basis(chart)])
             assert np.max(np.abs(P - dense)) <= 1e-12, (special, lab)
 
 
@@ -300,13 +306,15 @@ def test_representative_copies_are_independent():
 
 
 def test_detect_isotropy_on_symmetric_patterns():
+    # blocks of the chart merge when the point is symmetric across them
     d = 7
-    assert detect_diagonal_isotropy(np.eye(d)).blocks == (d,)
+    chart = build_chart(d, YoungPartitionGroup((1, 1, d - 2)))
     W = np.eye(d)
+    assert detect_diagonal_isotropy(chart, project(chart, W)).blocks == (d,)
     W[0, 0] = 2.0
-    assert detect_diagonal_isotropy(W).blocks == (d - 1, 1)
+    assert detect_diagonal_isotropy(chart, project(chart, W)).blocks == (d - 1, 1)
     W[1, 1] = 3.0
-    assert detect_diagonal_isotropy(W).blocks == (d - 2, 1, 1)
+    assert detect_diagonal_isotropy(chart, project(chart, W)).blocks == (d - 2, 1, 1)
 
 
 def test_detect_isotropy_of_chart_points():
@@ -314,7 +322,7 @@ def test_detect_isotropy_of_chart_points():
     for blocks in ((7, 1), (6, 1, 1), (5, 1, 1, 1)):
         chart = build_chart(d, YoungPartitionGroup(blocks))
         xi = np.random.default_rng(3).normal(size=chart.dim)
-        detected = detect_diagonal_isotropy(embed(chart, xi))
+        detected = detect_diagonal_isotropy(chart, xi)
         assert detected.blocks == tuple(sorted(blocks, reverse=True))
 
 
@@ -329,7 +337,6 @@ def test_build_chart_is_shared_for_equal_arguments():
     assert build_chart(9, (7, 1, 1)) is chart
     assert build_chart(9, YoungPartitionGroup((7, 1, 1))) is chart
     assert build_chart(9, (8, 1)) is not chart
-    assert not chart.basis.flags.writeable
 
 
 def _pair_loop_isotropy(W, tol=1e-8):
@@ -356,18 +363,36 @@ def _pair_loop_isotropy(W, tol=1e-8):
     return tuple(sorted(sizes.values(), reverse=True))
 
 
+def _coarsening(blocks, rng):
+    """The partition with random runs of adjacent blocks merged."""
+    out = [blocks[0]]
+    for b in blocks[1:]:
+        if rng.random() < 0.5:
+            out[-1] += b
+        else:
+            out.append(b)
+    return tuple(out)
+
+
 def test_detect_isotropy_matches_pair_loop():
-    rng = np.random.default_rng(21)
-    for d in (5, 7, 9):
-        for _ in range(15):
-            cuts = np.sort(rng.choice(np.arange(1, d), size=rng.integers(0, 4), replace=False))
-            blocks = tuple(int(b) for b in np.diff(np.concatenate([[0], cuts, [d]])))
-            chart = build_chart(d, YoungPartitionGroup(blocks))
-            W = embed(chart, rng.integers(-2, 3, size=chart.dim).astype(float))
-            perm = rng.permutation(d)
-            W = W[np.ix_(perm, perm)] + rng.choice([0.0, 1e-9, 0.2]) * rng.normal(size=(d, d))
+    # the chart detector against the dense pair loop on generic fixed
+    # points, on points with equal blocks (fixed by a coarser group, or
+    # with integer orbit values), and on those perturbed around the
+    # tolerances
+    for blocks in CHART_PARTITIONS:
+        d = sum(blocks)
+        chart = build_chart(d, YoungPartitionGroup(blocks))
+        rng = np.random.default_rng(d + len(blocks))
+        coarse = build_chart(d, _coarsening(blocks, rng))
+        equal = [transfer(coarse, rng.normal(size=coarse.dim), chart),
+                 orbit_coordinates(chart, rng.integers(-2, 3, size=chart.dim))]
+        points = [rng.normal(size=chart.dim)] + equal + [
+            xi + rng.choice([1e-9, 1e-7, 0.2]) * rng.normal(size=chart.dim) for xi in equal]
+        for xi in points:
+            W = embed(chart, xi)
             for tol in (1e-8, 0.3, 1.5):
-                assert detect_diagonal_isotropy(W, tol).blocks == _pair_loop_isotropy(W, tol)
+                assert (detect_diagonal_isotropy(chart, xi, tol).blocks
+                        == _pair_loop_isotropy(W, tol)), (blocks, tol)
 
 
 def test_transfer_reads_fixed_matrices_between_charts():

@@ -316,8 +316,7 @@ def test_sphere_maximum_keeps_full_symmetry(c0i_record):
     chart = build_chart(7, YoungPartitionGroup((6, 1)))
     [(xi, val)] = sphere_extremize(chart, c0i_record, [(1e-3, "max")])
     assert val > c0i_record.loss_value
-    W = embed(chart, xi)
-    assert detect_diagonal_isotropy(W).blocks == (7,)
+    assert detect_diagonal_isotropy(chart, xi).blocks == (7,)
 
 
 # sphere_extremize on the (6, 1) chart at d = 7, seed 0, repr-exact: the
@@ -632,12 +631,7 @@ def test_minimal_eig_directions_are_canonical_in_exact_cluster():
 
 
 def test_arc_radius_table_single_cell(c0i_record):
-    table = arc_radius_table(
-        ("C0I",), (2,), (7,),
-        refine=lambda fam, d: c0i_record,
-        keep_arcs=True,
-    )
-    cell = table[("C0I", 2, 7)]
+    cell = arc_radius_table("C0I", 2, 7, refine=lambda fam, d: c0i_record)
     assert cell["value"] == "0.62"
     assert cell["radius"] == pytest.approx(0.62, abs=0.05)
     assert cell["arc"].terminal_radius == pytest.approx(cell["radius"], abs=1e-12)
@@ -647,7 +641,7 @@ def test_arc_radius_table_single_cell(c0i_record):
 def test_arc_radius_table_pins_the_newton_path():
     # tags exact and radii to 1e-9: a change of predictor, corrector or
     # step solve moves these radii by more than rounding
-    cell = arc_radius_table(("C1I",), (1,), (7,), TraceConfig(delta_r=0.004))[("C1I", 1, 7)]
+    cell = arc_radius_table("C1I", 1, 7, TraceConfig(delta_r=0.004))
     tags = [tag for tag, _ in cell["runs"]]
     radii = [radius for _, radius in cell["runs"]]
     assert tags == ["StepStalled", "StepStalled"]
