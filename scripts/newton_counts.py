@@ -4,7 +4,9 @@
 
 runs `arc_radius_table` on one (family, k, d) cell and prints one JSON
 object: the cell's runs (termination tag and radius), the number of
-`tracer._newton_solve` calls, and inside those solves the calls of
+`tracer._newton_solve` calls, split by the outcome each returned
+(`ok`, `diverged`, `singular`), the sample count of the cell's winning
+arc, and inside those solves the calls of
 the chart gradient alone, the chart Hessians or combined
 gradient-Hessian evaluations, the gradients evaluated by either, and
 the SVDs (`np.linalg.svd` or `np.linalg.cond`), plus the wall time.
@@ -29,11 +31,13 @@ def main():
     ap.add_argument("--family", default="C1I")
     ap.add_argument("--d", type=int, default=7)
     ap.add_argument("--k", type=int, default=1)
-    ap.add_argument("--delta-r", dest="delta_r", type=float, default=1e-3)
+    ap.add_argument("--delta-r", dest="delta_r", type=float, default=1e-3,
+                    help="base step and checkpoint spacing")
     args = ap.parse_args()
 
     counts = {"newton_solves": 0, "gradient_calls": 0, "hessian_or_combined_calls": 0,
               "gradients_evaluated": 0, "svds": 0}
+    outcomes = {"ok": 0, "diverged": 0, "singular": 0}
     inside = [0]
 
     def counted(fn, *keys):
@@ -56,8 +60,10 @@ def main():
         counts["newton_solves"] += 1
         inside[0] += 1
         try:
-            return newton_solve(counted(grad_fn, "gradient_calls", "gradients_evaluated"),
-                                counted_hess(hess_fn), *a, **kw)
+            out = newton_solve(counted(grad_fn, "gradient_calls", "gradients_evaluated"),
+                               counted_hess(hess_fn), *a, **kw)
+            outcomes[out[2]] += 1
+            return out
         finally:
             inside[0] -= 1
 
@@ -76,7 +82,9 @@ def main():
         "cell": {"family": args.family, "k": args.k, "d": args.d, "delta_r": args.delta_r},
         "value": cell["value"],
         "runs": [list(run) for run in cell["runs"]],
+        "winning_arc_samples": len(cell["arc"].samples) if "arc" in cell else None,
         **counts,
+        "newton_solves_by_outcome": outcomes,
         "wall_s": round(wall, 3),
     }, indent=1))
 

@@ -495,7 +495,8 @@ def _build_parser():
     p.add_argument("--family", default=",".join(FAMILIES))
     p.add_argument("--d", default="7,20,100")
     p.add_argument("--k", default="1,2,3", help="ambient splits (singleton counts)")
-    p.add_argument("--delta-r", dest="delta_r", type=float, default=None)
+    p.add_argument("--delta-r", dest="delta_r", type=float, default=None,
+                   help="base step and checkpoint spacing")
     p.add_argument("--r-min", dest="r_min", type=float, default=None)
     p.add_argument("--r-max", dest="r_max", type=float, default=None)
     p.add_argument("--newton-tol", dest="newton_tol", type=float, default=None)

@@ -136,6 +136,15 @@ def _newton_solve(grad_fn, grad_hess_fn, center, xi, lam, r, cfg):
 _FAIL_TAG = {"singular": "SingularJacobian", "diverged": "NewtonDiverged"}
 
 
+def _checkpoint_multiples():
+    """j = 1, 2, 5, 10, 20, 50, ...: the checkpoints r_min + j * delta_r."""
+    scale = 1
+    while True:
+        for m in (1, 2, 5):
+            yield m * scale
+        scale *= 10
+
+
 def continue_arc(grad_fn, grad_hess_fn, center, direction, rayleigh, cfg):
     """Generic Lagrangian continuation from center along a unit direction.
 
@@ -145,9 +154,21 @@ def continue_arc(grad_fn, grad_hess_fn, center, direction, rayleigh, cfg):
     call at the radial guess, then one grad_fn call per iterate, within
     the budget of cfg.max_newton_iters (`--max-newton-iters`) iterates; a
     solve whose residual runs away from its start fails early as
-    'diverged'. Stepping is by cfg.delta_r with halving on Newton
-    failure; three consecutive samples needing steps below 1e-6
-    terminate the arc as StepStalled.
+    'diverged'.
+
+    The step is adaptive, with cfg.delta_r the base step (Allgower &
+    Georg 2003, ch. 6). The first step is delta_r. A step that its first
+    solve accepts doubles the next one, up to 16 * delta_r; a step
+    accepted only after halvings starts the next one from its halved
+    size, but never below delta_r. No step passes the next checkpoint
+    r_min + j * delta_r, j = 1, 2, 5, 10, 20, 50, ...: the radius is
+    clipped to it, so every checkpoint below r_max is a sample radius,
+    exactly. A failed solve halves the step; the halvings whose radius
+    is still clipped to the failed one are not solved again. Every step
+    is a power of two times delta_r and every checkpoint an integer
+    multiple of it past r_min, so near a fold the radii tried are those a
+    fixed step of delta_r tries, up to rounding. Three consecutive
+    samples needing steps below 1e-6 terminate the arc as StepStalled.
 
     Two degeneracies end an arc before r_max. A fold (no solution beyond
     some radius) exhausts the step halving, leaving StepStalled or the
@@ -169,15 +190,21 @@ def continue_arc(grad_fn, grad_hess_fn, center, direction, rayleigh, cfg):
         raise NoConvergence(f"no tangency solution at r_min ({status})")
     samples = [(cfg.r_min, xi.copy(), float(lam))]
     stalled_streak = 0
+    checkpoints = (cfg.r_min + j * cfg.delta_r for j in _checkpoint_multiples())
+    checkpoint = next(checkpoints)
+    next_step = cfg.delta_r
     while True:
         r_prev, xi_prev, lam_prev = samples[-1]
         if r_prev >= cfg.r_max:
             return samples, "ReachedRmax", r_prev
-        step = cfg.delta_r
+        while checkpoint <= r_prev:
+            checkpoint = next(checkpoints)
+        step = next_step
         while True:
-            r = min(r_prev + step, cfg.r_max)
+            # r itself is clipped, so that a checkpoint is met exactly
+            r = min(r_prev + step, checkpoint, cfg.r_max)
             xi, lam, status = solve_at(r, r_prev, xi_prev, lam_prev)
-            if status == "ok" and np.linalg.norm(xi - (center + (r / r_prev) * (xi_prev - center))) > max(0.1 * r, 20.0 * step):
+            if status == "ok" and np.linalg.norm(xi - (center + (r / r_prev) * (xi_prev - center))) > max(0.1 * r, 20.0 * (r - r_prev)):
                 # Newton landed on a different solution branch: past a fold
                 # the local branch has no point at this radius, so a far
                 # landing is a failure of the step, not a continuation.
@@ -185,8 +212,14 @@ def continue_arc(grad_fn, grad_hess_fn, center, direction, rayleigh, cfg):
             if status == "ok":
                 break
             step *= 0.5
+            while step >= 1e-9 and min(r_prev + step, checkpoint, cfg.r_max) >= r:
+                step *= 0.5
             if step < 1e-9:
                 return samples, _FAIL_TAG[status], r_prev
+        if step == next_step:
+            next_step = min(2.0 * step, 16.0 * cfg.delta_r)
+        else:
+            next_step = max(step, cfg.delta_r)
         if lam_prev * lam < 0 or lam == 0.0:
             # bisect the multiplier zero between the last two radii
             lo, hi = (r_prev, xi_prev, lam_prev), (r, xi, float(lam))
@@ -432,7 +465,9 @@ def sphere_extremize(chart, center, problems, n_starts=8, seed=0):
     round; then each start, in order, takes a Newton polish on the
     stationarity system, from the gradient and Hessian its descent ended
     with, and counts if its tangential gradient at the polished point is
-    at most 1e-9; the first best value over the starts that count is
+    at most 1e-9; the polished points' gradients and losses come from one
+    stacked orbit evaluation, with the bits of each point evaluated
+    alone. The first best value over the starts that count is
     returned. Returns one (xi, value) per problem. An error raised while a
     problem descends ends the call, after the problems before it are
     solved: the error of its first start in start order that raised, as
@@ -464,26 +499,47 @@ def sphere_extremize(chart, center, problems, n_starts=8, seed=0):
             v = rng.normal(size=chart.dim)
             dirs.append(v / np.linalg.norm(v))
         ends = _sphere_descents(chart, center_xi, center_xi + r * np.array(dirs), r, sign, floor)
-        best_xi, best_val = None, None
+        polished = []  # per start: its error, None if the polish failed, or its point
         for xi, gh in ends:
             if isinstance(gh, TangencyLabError):
-                raise gh
+                polished.append(gh)
+                continue
             u = xi - center_xi
             lam = (gh[0] @ u) / (2.0 * (u @ u))
             sol_xi, _, status = _newton_solve(
                 grad_fn, lambda x: gh, center_xi, xi, lam, r, polish_cfg)
             if status != "ok":
+                polished.append(None)
                 continue
             # the polish meets |u|^2 = r^2 to 1e-10: the point is put on the
             # sphere, and its stationarity is tested there
             u = sol_xi - center_xi
-            sol_xi = center_xi + (r / np.linalg.norm(u)) * u
-            point = chart_point(chart, sol_xi)
-            g = point.gradient()
+            polished.append(center_xi + (r / np.linalg.norm(u)) * u)
+        # the polished points' losses and gradients from one stacked call;
+        # if it raises, each point is evaluated alone, in start order, so
+        # the first start's error is raised
+        points = [p for p in polished if isinstance(p, np.ndarray)]
+        values = None
+        if points:
+            try:
+                stack = chart_point(chart, np.array(points))
+                values = iter(zip(stack.gradient(), stack.loss()))
+            except TangencyLabError:
+                pass
+        best_xi, best_val = None, None
+        for sol_xi in polished:
+            if isinstance(sol_xi, TangencyLabError):
+                raise sol_xi
+            if sol_xi is None:
+                continue
+            if values is None:
+                point = chart_point(chart, sol_xi)
+                g, fx = point.gradient(), point.loss()
+            else:
+                g, fx = next(values)
             u = sol_xi - center_xi
             if np.linalg.norm(g - ((g @ u) / (u @ u)) * u) > 1e-9:
                 continue
-            fx = point.loss()
             if best_val is None or sign * (fx - best_val) < 0:
                 best_xi, best_val = sol_xi, fx
         if best_xi is None:

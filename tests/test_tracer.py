@@ -88,6 +88,35 @@ def test_continue_arc_on_quadratic_model():
             assert np.linalg.norm(off) <= 1e-8
 
 
+def test_continue_arc_steps_grow_between_checkpoints():
+    # every solve on the quadratic model succeeds at once, so the step
+    # doubles up to 16 * delta_r, clipped at each checkpoint
+    # r_min + j * delta_r, j = 1, 2, 5, 10, 20, 50, ...; the second run
+    # ends on a checkpoint that r_prev + (checkpoint - r_prev) misses by
+    # rounding, and must reach it without a sliver step
+    A = np.diag([0.5, 2.0, 5.0])
+    grad_fn = lambda x: A @ x
+    grad_hess_fn = lambda x: (A @ x, A)
+    e = np.array([0.0, 1.0, 0.0])
+    for r_min, delta_r, r_max in ((1e-7, 1e-2, 1.0), (1e-5, 0.023, 1e-5 + 5 * 0.023)):
+        cfg = TraceConfig(delta_r=delta_r, r_min=r_min, r_max=r_max)
+        samples, term, terminal = continue_arc(grad_fn, grad_hess_fn, np.zeros(3), e, 2.0, cfg)
+        assert term == "ReachedRmax" and terminal == r_max
+        radii = [r for r, _, _ in samples]
+        for j in (1, 2, 5, 10, 20, 50):
+            checkpoint = cfg.r_min + j * cfg.delta_r
+            if checkpoint < r_max:
+                assert radii.count(checkpoint) == 1
+        steps = np.diff(radii)
+        assert steps.max() <= 16 * cfg.delta_r * (1 + 1e-12)
+        assert steps.min() >= cfg.delta_r * (1 - 1e-12)
+        # a fixed step of delta_r makes 100 samples out to r = 1
+        assert len(samples) <= 15
+        again, _, _ = continue_arc(grad_fn, grad_hess_fn, np.zeros(3), e, 2.0, cfg)
+        assert [r for r, _, _ in again] == radii
+        assert all(np.array_equal(a[1], b[1]) and a[2] == b[2] for a, b in zip(samples, again))
+
+
 def _wavy_model(a, b):
     """f(x) = x_2^2 / 2 - (a / b) cos(b x_2) on the plane, with a log of gradient calls.
 
@@ -556,6 +585,46 @@ def test_sphere_error_of_the_first_failing_start_wins(c0i_record, monkeypatch, k
     for extremize in (sphere_extremize, _sphere_extremize_start_by_start):
         with pytest.raises(error, match="^start 4$"):
             extremize(chart, c0i_record, problem)
+
+
+def test_sphere_stationarity_error_of_the_first_polished_point_wins(c0i_record, monkeypatch):
+    # a problem's polished points are evaluated in one stacked call, its
+    # last orbit evaluation; when that call raises, each point is
+    # evaluated alone, in start order, so the error of the first failing
+    # point is raised, as start by start, and not the stack's own
+    chart = build_chart(7, YoungPartitionGroup((6, 1)))
+    problem = [(0.1, "min")]
+    terms, gradient, newton_solve = kernel._orbit_terms, kernel._orbit_gradient, tracer._newton_solve
+    calls, polishing = [], []
+
+    def recording_terms(layout, xi):
+        out = terms(layout, xi)
+        calls.append((id(out), [x.tobytes() for x in np.atleast_2d(xi)]))
+        return out
+
+    def recording_solve(*args):
+        polishing.append(True)
+        return newton_solve(*args)
+
+    monkeypatch.setattr(kernel, "_orbit_terms", recording_terms)
+    monkeypatch.setattr(tracer, "_newton_solve", recording_solve)
+    sphere_extremize(chart, c0i_record, problem)
+    polished = calls[-1][1]
+    assert len(polished) >= 5
+    bad = {polished[1]: 1, polished[4]: 4}
+
+    def failing_gradient(layout, orbit_terms):
+        # the descents evaluate the same points before any polish
+        rows = next(rows for key, rows in reversed(calls) if key == id(orbit_terms))
+        points = [bad[x] for x in rows if x in bad]
+        if points and polishing:
+            raise NearParallelRows(f"polished point {points[-1]}")
+        return gradient(layout, orbit_terms)
+
+    monkeypatch.setattr(kernel, "_orbit_gradient", failing_gradient)
+    polishing.clear()
+    with pytest.raises(NearParallelRows, match="^polished point 1$"):
+        sphere_extremize(chart, c0i_record, problem)
 
 
 def test_failing_sphere_problem_raises_its_own_error_after_the_earlier_ones(monkeypatch):
