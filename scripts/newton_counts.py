@@ -3,18 +3,25 @@
     PYTHONPATH=src python scripts/newton_counts.py --family C0II --d 100 --k 3
 
 runs `arc_radius_table` on one (family, k, d) cell and prints one JSON
-object: the cell's runs (termination tag and radius), the number of
-`tracer._newton_solve` calls, split by the outcome each returned
-(`ok`, `diverged`, `singular`), the sample count of the cell's winning
-arc, and inside those solves the calls of
-the chart gradient alone, the chart Hessians or combined
-gradient-Hessian evaluations, the gradients evaluated by either, and
-the SVDs (`np.linalg.svd` or `np.linalg.cond`), plus the wall time.
-The counts do not depend on the machine. The counters wrap the
-gradient and Hessian functions each solve is handed, from outside the
-package, so the script counts whichever version of `tangency_lab` is
-first on the path, one whose second function returns the Hessian alone
-included, as long as its `arc_radius_table` takes one cell.
+object: the cell's runs (termination tag and radius), the chord solves
+whose outcome the arcs use (`newton_solves`), split by the outcome each
+ended with (`ok`, `diverged`, `singular`), the sample count of the
+cell's winning arc, and inside the `tracer._newton_solve` calls: the
+calls of the chart gradient alone, the chart Hessians or combined
+gradient-Hessian evaluations, the gradients evaluated by either (one
+per point of a stack), the SVD calls (`np.linalg.svd` or
+`np.linalg.cond`, a stacked call counted once), the lockstep rounds
+(`lockstep_rounds`: the gradient and gradient-Hessian calls, each a
+stacked iterate round; a stack that raises and the row-by-row calls
+that replace it each count) and the rows started (`row_solves`: the
+solves a call is handed, the speculative halvings dropped after an
+accepted one included), plus the wall time. The counts do not depend
+on the machine. The counters wrap the gradient and Hessian functions
+each solve is handed, from outside the package, so the script counts
+whichever version of `tangency_lab` is first on the path, one whose
+second function returns the Hessian alone or whose solver takes one
+point and returns one outcome included, as long as its
+`arc_radius_table` takes one cell.
 """
 
 import argparse
@@ -36,9 +43,12 @@ def main():
     args = ap.parse_args()
 
     counts = {"newton_solves": 0, "gradient_calls": 0, "hessian_or_combined_calls": 0,
-              "gradients_evaluated": 0, "svds": 0}
+              "gradients_evaluated": 0, "svds": 0, "lockstep_rounds": 0, "row_solves": 0}
     outcomes = {"ok": 0, "diverged": 0, "singular": 0}
     inside = [0]
+
+    def rows(xi):
+        return len(xi) if np.ndim(xi) == 2 else 1
 
     def counted(fn, *keys):
         def wrapper(*a, **kw):
@@ -48,24 +58,35 @@ def main():
             return fn(*a, **kw)
         return wrapper
 
+    def counted_grad(fn):
+        def wrapper(xi):
+            counts["gradient_calls"] += 1
+            counts["lockstep_rounds"] += 1
+            counts["gradients_evaluated"] += rows(xi)
+            return fn(xi)
+        return wrapper
+
     def counted_hess(fn):
         def wrapper(xi):
             counts["hessian_or_combined_calls"] += 1
+            counts["lockstep_rounds"] += 1
             out = fn(xi)
-            counts["gradients_evaluated"] += isinstance(out, tuple)
+            counts["gradients_evaluated"] += rows(xi) if isinstance(out, tuple) else 0
             return out
         return wrapper
 
-    def solve(grad_fn, hess_fn, *a, **kw):
-        counts["newton_solves"] += 1
+    def solve(grad_fn, hess_fn, center, xi, *a, **kw):
+        counts["row_solves"] += rows(xi)
         inside[0] += 1
         try:
-            out = newton_solve(counted(grad_fn, "gradient_calls", "gradients_evaluated"),
-                               counted_hess(hess_fn), *a, **kw)
-            outcomes[out[2]] += 1
-            return out
+            out = newton_solve(counted_grad(grad_fn), counted_hess(hess_fn), center, xi, *a, **kw)
         finally:
             inside[0] -= 1
+        # a solver of one point returns one outcome, a stacked one a list
+        for _, _, status in out if isinstance(out, list) else [out]:
+            counts["newton_solves"] += 1
+            outcomes[status] += 1
+        return out
 
     newton_solve = tracer._newton_solve
     tracer._newton_solve = solve

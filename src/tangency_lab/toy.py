@@ -173,8 +173,9 @@ def trace_from(center, direction, cfg=None):
     v = np.asarray(direction, dtype=float)
     v = v / np.linalg.norm(v)
     rayleigh = float(v @ hess_h(c) @ v)
+    grads = lambda P: np.array([grad_h(p) for p in P])
     samples, termination, terminal = continue_arc(
-        grad_h, lambda p: (grad_h(p), hess_h(p)), c, v, rayleigh, cfg
+        grads, lambda P: (grads(P), np.array([hess_h(p) for p in P])), c, v, rayleigh, cfg
     )
     return samples, termination, terminal
 

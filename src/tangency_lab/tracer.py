@@ -8,6 +8,7 @@ metric correction. The engine is generic over the objective so the
 polynomial toy problem can reuse it with analytic derivatives.
 """
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -48,6 +49,12 @@ class TraceConfig:
                 raise ValueError(f"{name} must be finite")
         if not (0 < self.r_min < self.delta_r < self.r_max):
             raise ValueError("need 0 < r_min < delta_r < r_max")
+        if self.newton_tol <= 0:
+            raise ValueError("newton_tol must be positive")
+        if self.max_newton_iters < 1:
+            raise ValueError("max_newton_iters must be at least 1")
+        if self.cond_threshold <= 1:
+            raise ValueError("cond_threshold must exceed 1")
 
 
 @dataclass(frozen=True)
@@ -59,14 +66,61 @@ class ArcRecord:
     terminal_radius: float
 
 
-def _newton_solve(grad_fn, grad_hess_fn, center, xi, lam, r, cfg):
-    """Solve [grad - 2*lam*u; |u|^2 - r^2] = 0 from the given guess.
+def _stacked(fn, X, *shapes):
+    """fn at the (B, n) stack X: a tuple of stacks shaped (B,) + each of
+    `shapes`. When the stacked call raises, each row of a stack of more
+    than one is evaluated alone, as a (1, n) stack, and the entries of a
+    row that raises are NaN."""
+    try:
+        return fn(X)
+    except TangencyLabError:
+        out = tuple(np.full((len(X),) + shape, np.nan) for shape in shapes)
+        if len(X) == 1:
+            return out
+        for i in range(len(X)):
+            try:
+                values = fn(X[i:i + 1])
+            except TangencyLabError:
+                continue
+            for o, v in zip(out, values):
+                o[i] = v[0]
+        return out
 
-    A chord iteration: `grad_hess_fn` gives the gradient and the Hessian
-    at the initial guess, and that Hessian is kept for the whole solve;
-    borders and the multiplier shift are rebuilt each iterate. Later
-    residuals use the exact gradient from `grad_fn`, so the acceptance
-    test is unaffected by the frozen second-order term.
+
+def _dots(A):
+    # the rows' self dot products, each with the bits of `a @ a` alone
+    return (A[:, None, :] @ A[:, :, None])[:, 0, 0]
+
+
+class _Residuals:
+    """The residual history of one chord solve."""
+
+    __slots__ = ("start", "best", "last", "rises", "since_best")
+
+    def __init__(self, res):
+        self.start = self.best = self.last = res
+        self.rises = self.since_best = 0
+
+    def runs_away(self, res):
+        """Take the next residual; True if the solve is to stop as 'diverged'."""
+        self.rises = self.rises + 1 if res > self.last else 0
+        self.since_best = 0 if res < self.best else self.since_best + 1
+        self.best = min(self.best, res)
+        self.last = res
+        return (self.rises >= 5 and res > self.start) or self.since_best >= 12
+
+
+def _newton_solve(grad_fn, grad_hess_fn, center, xi, lam, r, cfg, accept=None):
+    """Solve [grad - 2*lam*u; |u|^2 - r^2] = 0 from each row of a stack of guesses.
+
+    The rows of xi (B, n), with lam and r (each a scalar or one value per
+    row), are independent problems about the one center; grad_fn and
+    grad_hess_fn take a stack of points. A chord iteration: `grad_hess_fn`
+    gives the gradient and the Hessian at the initial guess, and that
+    Hessian is kept for the whole solve; borders and the multiplier shift
+    are rebuilt each iterate. Later residuals use the exact gradient from
+    `grad_fn`, so the acceptance test is unaffected by the frozen
+    second-order term.
 
     cfg.max_newton_iters (`--max-newton-iters`) stays the budget of
     iterates. A solve stops early as 'diverged' once its residual has
@@ -79,58 +133,96 @@ def _newton_solve(grad_fn, grad_hess_fn, center, xi, lam, r, cfg):
     'diverged' too; chord iterations that converge after eleven such
     iterates occur.
 
-    Returns (xi, lam, 'ok') or (None, None, reason) with reason one of
-    'singular', 'diverged'.
+    The rows run in lockstep: each round evaluates the running rows in
+    one stacked call (the first round their gradients and Hessians),
+    tests their conditions with one stacked SVD and takes their steps
+    with one stacked solve, and a row leaves the stack when it ends. Each
+    row takes the floating-point operations of its problem solved alone.
+    When a stacked evaluation raises, its rows are evaluated alone, and a
+    row that raises ends 'diverged'.
+
+    Returns one (xi, lam, 'ok') or (None, None, reason) per row, reason
+    one of 'singular', 'diverged'. With `accept`, a test accept(i, xi) of
+    row i's solution, a row that converges but fails it ends 'diverged',
+    and only the first row that ends 'ok' is wanted: the rows after it
+    are dropped once it has ended, and the list ends with it.
     """
     n = center.size
-    try:
-        g, H = grad_hess_fn(xi)
-    except TangencyLabError:
-        return None, None, "diverged"
+    rows = list(range(len(xi)))
+    lam, r = np.full(len(rows), lam), np.full(len(rows), r)
+    rr = r * r
+    ends = [(None, None, "diverged")] * len(rows)
+    last = len(rows)  # the rows from `last` on are dropped
+    history = [None] * len(rows)
     eye = np.eye(n)
-    J = np.zeros((n + 1, n + 1))
-    F = np.empty(n + 1)
+    # J[:, n, n] stays 0; the rest of J and F is rewritten each round
+    Fs, Js = np.empty((len(rows), n + 1)), np.zeros((len(rows), n + 1, n + 1))
+    grads = lambda X: (grad_fn(X),)
     for it in range(cfg.max_newton_iters):
-        u = xi - center
-        if it:
-            try:
-                g = grad_fn(xi)
-            except TangencyLabError:
-                return None, None, "diverged"
-        F[:n] = g - 2.0 * lam * u
-        F[n] = u @ u - r * r
-        if not np.isfinite(F).all():
-            return None, None, "diverged"
-        res = np.linalg.norm(F)
-        if res <= cfg.newton_tol:
-            return xi, lam, "ok"
         if it == 0:
-            res0 = best = res
-            rises = since_best = 0
+            G, H = _stacked(grad_hess_fn, xi, (n,), (n, n))
         else:
-            rises = rises + 1 if res > res_prev else 0
-            since_best = 0 if res < best else since_best + 1
-            best = min(best, res)
-            if (rises >= 5 and res > res0) or since_best >= 12:
-                return None, None, "diverged"
-        res_prev = res
-        np.subtract(H, 2.0 * lam * eye, out=J[:n, :n])
-        J[:n, n] = -2.0 * u
-        J[n, :n] = 2.0 * u
-        # the 2-norm condition number, as np.linalg.cond computes it; a
-        # zero singular value is an infinite condition number
-        sv = np.linalg.svd(J, compute_uv=False)
-        if sv[-1] == 0.0 or sv[0] / sv[-1] >= cfg.cond_threshold:
-            return None, None, "singular"
+            G, = _stacked(grads, xi, (n,))
+        U = xi - center
+        shift = 2.0 * lam
+        F = Fs[:len(rows)]
+        F[:, :n] = G - shift[:, None] * U
+        F[:, n] = _dots(U) - rr
+        keep = []
+        for i, (row, res) in enumerate(zip(rows, np.sqrt(_dots(F)).tolist())):
+            # a non-finite F gives a non-finite residual
+            if row >= last or not (math.isfinite(res) or np.isfinite(F[i]).all()):
+                continue
+            if res <= cfg.newton_tol:
+                if accept is None or accept(row, xi[i]):
+                    ends[row] = (xi[i], lam[i], "ok")
+                    if accept is not None:
+                        last = row + 1
+            elif it == 0:
+                history[row] = _Residuals(res)
+                keep.append(i)
+            elif not history[row].runs_away(res):
+                keep.append(i)
+        if len(keep) < len(rows):
+            if not keep:
+                break
+            rows = [rows[i] for i in keep]
+            xi, lam, rr, H, U, F, shift = (a[keep] for a in (xi, lam, rr, H, U, F, shift))
+        J = Js[:len(rows)]
+        np.subtract(H, shift[:, None, None] * eye, out=J[:, :n, :n])
+        J[:, :n, n] = -2.0 * U
+        J[:, n, :n] = 2.0 * U
+        keep = []
+        for i, (top, low) in enumerate(np.linalg.svd(J, compute_uv=False)[:, ::n].tolist()):
+            # the 2-norm condition number, as np.linalg.cond computes it; a
+            # zero singular value is an infinite condition number
+            if low == 0.0 or top / low >= cfg.cond_threshold:
+                ends[rows[i]] = (None, None, "singular")
+            else:
+                keep.append(i)
+        if len(keep) < len(rows):
+            if not keep:
+                break
+            rows = [rows[i] for i in keep]
+            xi, lam, rr, H, F, J = (a[keep] for a in (xi, lam, rr, H, F, J))
         try:
-            step = np.linalg.solve(J, -F)
+            step = np.linalg.solve(J, -F[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
-            return None, None, "singular"
+            step = np.full_like(F, np.nan)
+            for i in range(len(rows)):
+                try:
+                    step[i] = np.linalg.solve(J[i], -F[i])
+                except np.linalg.LinAlgError:
+                    ends[rows[i]] = (None, None, "singular")
         if not np.isfinite(step).all():
-            return None, None, "diverged"
-        xi = xi + step[:n]
-        lam = lam + step[n]
-    return None, None, "diverged"
+            finite = np.isfinite(step).all(axis=1)
+            rows = [row for row, ok in zip(rows, finite) if ok]
+            if not rows:
+                break
+            xi, lam, rr, H, step = (a[finite] for a in (xi, lam, rr, H, step))
+        xi = xi + step[:, :n]
+        lam = lam + step[:, n]
+    return ends[:last]
 
 
 _FAIL_TAG = {"singular": "SingularJacobian", "diverged": "NewtonDiverged"}
@@ -149,12 +241,12 @@ def continue_arc(grad_fn, grad_hess_fn, center, direction, rayleigh, cfg):
     """Generic Lagrangian continuation from center along a unit direction.
 
     grad_fn evaluates the objective's gradient and grad_hess_fn its
-    gradient and Hessian together, in the same coordinates as `center`.
-    Each radius is one chord solve of `_newton_solve`: one grad_hess_fn
-    call at the radial guess, then one grad_fn call per iterate, within
-    the budget of cfg.max_newton_iters (`--max-newton-iters`) iterates; a
-    solve whose residual runs away from its start fails early as
-    'diverged'.
+    gradient and Hessian together, in the same coordinates as `center`,
+    each at every row of a (B, n) stack of points. Each radius is one
+    chord solve of `_newton_solve`: the gradient and Hessian at the radial
+    guess, then one gradient per iterate, within the budget of
+    cfg.max_newton_iters (`--max-newton-iters`) iterates; a solve whose
+    residual runs away from its start fails early as 'diverged'.
 
     The step is adaptive, with cfg.delta_r the base step (Allgower &
     Georg 2003, ch. 6). The first step is delta_r. A step that its first
@@ -170,6 +262,16 @@ def continue_arc(grad_fn, grad_hess_fn, center, direction, rayleigh, cfg):
     fixed step of delta_r tries, up to rounding. Three consecutive
     samples needing steps below 1e-6 terminate the arc as StepStalled.
 
+    A step's first solve runs alone. When it fails, the rest of its
+    halving ladder (the radii the halvings would try, in order, down to
+    steps of 1e-9) is solved in one lockstep `_newton_solve`: the halvings
+    all start from the same sample, so none depends on another. The
+    first rung in ladder order that converges without a far landing is
+    taken, and the rungs after it are dropped once it has converged; when
+    every rung fails, the last rung's failure tags the arc. The samples,
+    tags and radii are those of solving the halvings one after another,
+    to the bit.
+
     Two degeneracies end an arc before r_max. A fold (no solution beyond
     some radius) exhausts the step halving, leaving StepStalled or the
     Newton failure tag at the fold. A multiplier sign change means the
@@ -178,14 +280,24 @@ def continue_arc(grad_fn, grad_hess_fn, center, direction, rayleigh, cfg):
     the arc ends there tagged SingularJacobian, matching how such events
     surface in plain Newton continuation.
     """
-    xi0 = center + cfg.r_min * direction
-    lam0 = 0.5 * rayleigh
+    def solve_at(radii, base, reject_far=False):
+        # chord solves at the radii from radial guesses off the sample base
+        base_r, base_xi, base_lam = base
+        radii = np.array(radii)
+        guess = center + (radii / base_r)[:, None] * (base_xi - center)
 
-    def solve_at(r, base_r, base_xi, base_lam):
-        guess = center + (r / base_r) * (base_xi - center)
-        return _newton_solve(grad_fn, grad_hess_fn, center, guess, base_lam, r, cfg)
+        def near(i, xi):
+            # Newton landed on a different solution branch: past a fold the
+            # local branch has no point at this radius, so a far landing is
+            # a failure of the step, not a continuation.
+            return not np.linalg.norm(xi - guess[i]) > max(0.1 * radii[i], 20.0 * (radii[i] - base_r))
 
-    xi, lam, status = _newton_solve(grad_fn, grad_hess_fn, center, xi0, lam0, cfg.r_min, cfg)
+        return _newton_solve(grad_fn, grad_hess_fn, center, guess, base_lam, radii, cfg,
+                             near if reject_far else None)
+
+    [(xi, lam, status)] = _newton_solve(grad_fn, grad_hess_fn, center,
+                                        (center + cfg.r_min * direction)[None],
+                                        0.5 * rayleigh, cfg.r_min, cfg)
     if status != "ok":
         raise NoConvergence(f"no tangency solution at r_min ({status})")
     samples = [(cfg.r_min, xi.copy(), float(lam))]
@@ -199,23 +311,26 @@ def continue_arc(grad_fn, grad_hess_fn, center, direction, rayleigh, cfg):
             return samples, "ReachedRmax", r_prev
         while checkpoint <= r_prev:
             checkpoint = next(checkpoints)
+        # the halving ladder: (step, r) for each radius a failed solve
+        # leaves to try next, down to steps of 1e-9; r itself is clipped,
+        # so that a checkpoint is met exactly
+        ladder = []
         step = next_step
         while True:
-            # r itself is clipped, so that a checkpoint is met exactly
             r = min(r_prev + step, checkpoint, cfg.r_max)
-            xi, lam, status = solve_at(r, r_prev, xi_prev, lam_prev)
-            if status == "ok" and np.linalg.norm(xi - (center + (r / r_prev) * (xi_prev - center))) > max(0.1 * r, 20.0 * (r - r_prev)):
-                # Newton landed on a different solution branch: past a fold
-                # the local branch has no point at this radius, so a far
-                # landing is a failure of the step, not a continuation.
-                status = "diverged"
-            if status == "ok":
-                break
+            ladder.append((step, r))
             step *= 0.5
             while step >= 1e-9 and min(r_prev + step, checkpoint, cfg.r_max) >= r:
                 step *= 0.5
             if step < 1e-9:
-                return samples, _FAIL_TAG[status], r_prev
+                break
+        tried = solve_at([ladder[0][1]], samples[-1], reject_far=True)
+        if tried[0][2] != "ok" and len(ladder) > 1:
+            tried += solve_at([r for _, r in ladder[1:]], samples[-1], reject_far=True)
+        xi, lam, status = tried[-1]
+        if status != "ok":
+            return samples, _FAIL_TAG[status], r_prev
+        step, r = ladder[len(tried) - 1]
         if step == next_step:
             next_step = min(2.0 * step, 16.0 * cfg.delta_r)
         else:
@@ -227,7 +342,7 @@ def continue_arc(grad_fn, grad_hess_fn, center, direction, rayleigh, cfg):
                 if hi[0] - lo[0] <= 1e-9 * max(1.0, hi[0]):
                     break
                 rm = 0.5 * (lo[0] + hi[0])
-                xm, lm, st = solve_at(rm, lo[0], lo[1], lo[2])
+                [(xm, lm, st)] = solve_at([rm], lo)
                 if st != "ok":
                     break
                 if lm * lo[2] > 0:
@@ -462,9 +577,10 @@ def sphere_extremize(chart, center, problems, n_starts=8, seed=0):
     then directions drawn from `default_rng(seed)`. The problems run one
     after another. A problem's starts run their second-order descents in
     lockstep, `_sphere_descents`, with one stacked orbit evaluation per
-    round; then each start, in order, takes a Newton polish on the
-    stationarity system, from the gradient and Hessian its descent ended
-    with, and counts if its tangential gradient at the polished point is
+    round; then the starts take their Newton polishes on the
+    stationarity system in one lockstep `_newton_solve`, each from the
+    gradient and Hessian its descent ended with, and a start, in order,
+    counts if its tangential gradient at the polished point is
     at most 1e-9; the polished points' gradients and losses come from one
     stacked orbit evaluation, with the bits of each point evaluated
     alone. The first best value over the starts that count is
@@ -499,22 +615,23 @@ def sphere_extremize(chart, center, problems, n_starts=8, seed=0):
             v = rng.normal(size=chart.dim)
             dirs.append(v / np.linalg.norm(v))
         ends = _sphere_descents(chart, center_xi, center_xi + r * np.array(dirs), r, sign, floor)
-        polished = []  # per start: its error, None if the polish failed, or its point
-        for xi, gh in ends:
-            if isinstance(gh, TangencyLabError):
-                polished.append(gh)
-                continue
-            u = xi - center_xi
-            lam = (gh[0] @ u) / (2.0 * (u @ u))
-            sol_xi, _, status = _newton_solve(
-                grad_fn, lambda x: gh, center_xi, xi, lam, r, polish_cfg)
-            if status != "ok":
-                polished.append(None)
-                continue
-            # the polish meets |u|^2 = r^2 to 1e-10: the point is put on the
-            # sphere, and its stationarity is tested there
-            u = sol_xi - center_xi
-            polished.append(center_xi + (r / np.linalg.norm(u)) * u)
+        # per start: its error, None if the polish failed, or its point
+        polished = [gh for _, gh in ends]
+        starts = [i for i, gh in enumerate(polished) if not isinstance(gh, TangencyLabError)]
+        if starts:
+            X = np.array([ends[i][0] for i in starts])
+            G = np.array([polished[i][0] for i in starts])
+            H = np.array([polished[i][1] for i in starts])
+            lam = [(g @ u) / (2.0 * (u @ u)) for g, u in zip(G, X - center_xi)]
+            solved = _newton_solve(grad_fn, lambda _: (G, H), center_xi, X, lam, r, polish_cfg)
+            for i, (sol_xi, _, status) in zip(starts, solved):
+                if status != "ok":
+                    polished[i] = None
+                    continue
+                # the polish meets |u|^2 = r^2 to 1e-10: the point is put on
+                # the sphere, and its stationarity is tested there
+                u = sol_xi - center_xi
+                polished[i] = center_xi + (r / np.linalg.norm(u)) * u
         # the polished points' losses and gradients from one stacked call;
         # if it raises, each point is evaluated alone, in start order, so
         # the first start's error is raised
@@ -623,7 +740,9 @@ def arc_radius_table(family, k, d, cfg=None, refine=None):
     is traced with both signs; the cell reports the smallest finite
     terminal radius, or 'inf' when every run reaches r_max, and carries
     the ArcRecord that realized it (for 'inf', the first arc traced). A
-    failure to set the cell up is reported as 'error:<name>'.
+    failure to set the cell up, or a cell in which no run traced, is
+    reported as 'error:<name>', with the name of the setup's error or of
+    the first run's.
 
     `refine` maps (family, d) to a CriticalPointRecord, by default the
     memoized `atlas.refined_minimum`.
@@ -637,7 +756,7 @@ def arc_radius_table(family, k, d, cfg=None, refine=None):
         dirs, lam0 = minimal_eig_directions(chart, chart_hessian(chart, center_xi))
     except TangencyLabError as e:
         return {"value": f"error:{type(e).__name__}", "error": str(e)}
-    radii, runs, arcs, fallback = [], [], [], None
+    radii, runs, arcs, fallback, error = [], [], [], None, None
     floor = 2.0 * cfg.delta_r
     for v in dirs:
         for s in (1.0, -1.0):
@@ -645,6 +764,7 @@ def arc_radius_table(family, k, d, cfg=None, refine=None):
                 arc = trace_arc(chart, rec, s * v, cfg)
             except TangencyLabError as e:
                 runs.append((f"error:{type(e).__name__}", None))
+                error = error or e
                 continue
             runs.append((arc.termination, float(arc.terminal_radius)))
             if fallback is None:
@@ -657,10 +777,11 @@ def arc_radius_table(family, k, d, cfg=None, refine=None):
     if radii:
         best = int(np.argmin(radii))
         cell = {"radius": radii[best], "value": "%.2f" % radii[best], "arc": arcs[best]}
+    elif fallback is None:
+        # no run traced: 'inf' would claim that every arc reached r_max
+        cell = {"radius": None, "value": runs[0][0], "error": str(error)}
     else:
-        cell = {"radius": None, "value": "inf"}
-        if fallback is not None:
-            cell["arc"] = fallback
+        cell = {"radius": None, "value": "inf", "arc": fallback}
     cell.update(runs=tuple(runs), n_directions=len(dirs), min_eigenvalue=lam0)
     return cell
 

@@ -65,6 +65,10 @@ def json_outputs_parse(tmp_path):
     ["arcs", "--family", "C1I", "--d", "7", "--k", "1", "--delta-r", "nan"],
     ["arcs", "--family", "C1I", "--d", "7", "--k", "1", "--r-min", "nan"],
     ["arcs", "--family", "C1I", "--d", "7", "--k", "1", "--cond-threshold", "inf"],
+    ["arcs", "--family", "C1I", "--d", "7", "--k", "1", "--max-newton-iters", "0"],
+    ["arcs", "--family", "C1I", "--d", "7", "--k", "1", "--newton-tol", "-1"],
+    ["arcs", "--family", "C1I", "--d", "7", "--k", "1", "--newton-tol", "0"],
+    ["arcs", "--family", "C1I", "--d", "7", "--k", "1", "--cond-threshold", "1"],
 ])
 def test_bad_configuration_exits_2(tmp_path, args):
     if "--out" not in args:
@@ -259,6 +263,20 @@ def test_sphere_failing_radius_exits_3_with_its_error(tmp_path):
         "error": "DegenerateVector", "message": "a student row has norm <= 1e-12"}
 
 
+def test_arcs_cell_in_which_no_run_traced_is_an_error(tmp_path):
+    # no chord solve meets a tolerance of 1e-300, so every run fails at
+    # r_min: the cell is the first run's error, not 'inf', and exits 3
+    res = run_cli(["arcs", "--family", "C1I", "--d", "7", "--k", "1",
+                   "--newton-tol", "1e-300", "--out", "o"], tmp_path)
+    assert res.returncode == 3, res.stderr
+    assert (tmp_path / "o" / "arcs_table.csv").read_text().splitlines()[-1] == "7,1,error:NoConvergence"
+    cell = json.loads((tmp_path / "o" / "arcs_runs.json").read_text())["cells"]["C1I_k1_d7"]
+    assert cell["value"] == "error:NoConvergence"
+    assert cell["runs"] == [["error:NoConvergence", None]] * 2
+    assert cell["error"] == "no tangency solution at r_min (diverged)"
+    assert sorted(os.listdir(tmp_path / "o")) == ["arcs_runs.json", "arcs_table.csv"]
+
+
 @pytest.mark.parametrize("family", ["C1I", "C1II"])
 def test_sphere_maxima_at_d100_pass_the_stationarity_test(tmp_path, family):
     # the polished maxima at r = 0.1 carry a multiplier of about 13: tested
@@ -313,7 +331,7 @@ def test_sphere_modes_do_not_couple(tmp_path):
 
 @pytest.mark.parametrize("script, args, keys", [
     ("newton_counts.py", ["--family", "C1I", "--d", "7", "--k", "1", "--delta-r", "0.004"],
-     ("value", "runs")),
+     ("value", "runs", "lockstep_rounds", "row_solves")),
     ("sphere_counts.py", ["--family", "C1II", "--d", "20", "--k", "2", "--r-count", "2"],
      ("orbit_terms_calls",)),
 ])

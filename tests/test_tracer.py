@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from tangency_lab import kernel, tracer
+from tangency_lab import kernel, toy, tracer
 from tangency_lab.atlas import (
     chart_gradient,
     chart_hessian,
@@ -68,8 +68,8 @@ def test_continue_arc_on_quadratic_model():
     # for f = xi' A xi / 2 the tangency system is linear: each arc stays
     # on an eigenvector ray, the multiplier is the constant a_i / 2
     A = np.diag([0.5, 2.0, 5.0])
-    grad_fn = lambda x: A @ x
-    grad_hess_fn = lambda x: (A @ x, A)
+    grad_fn = lambda X: X @ A
+    grad_hess_fn = lambda X: (X @ A, np.broadcast_to(A, (len(X),) + A.shape))
     cfg = TraceConfig(delta_r=1e-2, r_max=1.0)
     for i in range(3):
         e = np.zeros(3)
@@ -95,8 +95,8 @@ def test_continue_arc_steps_grow_between_checkpoints():
     # ends on a checkpoint that r_prev + (checkpoint - r_prev) misses by
     # rounding, and must reach it without a sliver step
     A = np.diag([0.5, 2.0, 5.0])
-    grad_fn = lambda x: A @ x
-    grad_hess_fn = lambda x: (A @ x, A)
+    grad_fn = lambda X: X @ A
+    grad_hess_fn = lambda X: (X @ A, np.broadcast_to(A, (len(X),) + A.shape))
     e = np.array([0.0, 1.0, 0.0])
     for r_min, delta_r, r_max in ((1e-7, 1e-2, 1.0), (1e-5, 0.023, 1e-5 + 5 * 0.023)):
         cfg = TraceConfig(delta_r=delta_r, r_min=r_min, r_max=r_max)
@@ -117,13 +117,20 @@ def test_continue_arc_steps_grow_between_checkpoints():
         assert all(np.array_equal(a[1], b[1]) and a[2] == b[2] for a, b in zip(samples, again))
 
 
+def _stacked_model(grad, hess):
+    """A model's gradient and gradient-Hessian functions on (B, n) stacks,
+    from its functions of one point: each row is evaluated alone."""
+    grads = lambda X: np.array([grad(x) for x in X])
+    return grads, lambda X: (grads(X), np.array([hess(x) for x in X]))
+
+
 def _wavy_model(a, b):
     """f(x) = x_2^2 / 2 - (a / b) cos(b x_2) on the plane, with a log of gradient calls.
 
     f does not depend on x_1, so from lambda = 0 a chord solve on a circle
     about the origin keeps lambda = 0 and runs the scalar chord iteration
     x_2 <- x_2 - f'(x_2) / f''(x_2 at the start) on the tangential
-    coordinate.
+    coordinate. Returns its gradient and Hessian at one point.
     """
     calls = []
 
@@ -131,21 +138,40 @@ def _wavy_model(a, b):
         calls.append(x.copy())
         return np.array([0.0, x[1] + a * np.sin(b * x[1])])
 
-    def grad_hess(x):
-        return grad(x), np.diag([0.0, 1.0 + a * b * np.cos(b * x[1])])
+    def hess(x):
+        return np.diag([0.0, 1.0 + a * b * np.cos(b * x[1])])
 
     def residual(x, r):
         return np.hypot(x[1] + a * np.sin(b * x[1]), x @ x - r * r)
 
-    return grad, grad_hess, residual, calls
+    return grad, hess, residual, calls
+
+
+def _flat_stall_model(calls):
+    # f'(x_2) = 2 x_2 under a frozen Hessian of half that curvature
+    def grad(x):
+        calls.append(x.copy())
+        return np.array([0.0, 2.0 * x[1]])
+
+    return grad, lambda x: np.diag([0.0, 1.0])
+
+
+def _linear_model(calls):
+    # a linear f: H = 0
+    def grad(x):
+        calls.append(x)
+        return np.array([0.0, 1.0])
+
+    return grad, lambda x: np.zeros((2, 2))
 
 
 def test_newton_solve_stops_a_runaway_chord_iteration():
     # f'' = -1 at x_2 = 1/2 and f' = x_2 at every half-integer, so each
     # chord step doubles x_2 and the residual climbs from the start
-    grad, grad_hess, _, calls = _wavy_model(1.0 / np.pi, 2.0 * np.pi)
+    grad, hess, _, calls = _wavy_model(1.0 / np.pi, 2.0 * np.pi)
     xi = np.array([np.sqrt(100.0 ** 2 - 0.25), 0.5])
-    out = _newton_solve(grad, grad_hess, np.zeros(2), xi, 0.0, 100.0, TraceConfig())
+    [out] = _newton_solve(*_stacked_model(grad, hess), np.zeros(2), xi[None], 0.0, 100.0,
+                          TraceConfig())
     assert out == (None, None, "diverged")
     assert len(calls) <= 7
 
@@ -153,9 +179,10 @@ def test_newton_solve_stops_a_runaway_chord_iteration():
 def test_newton_solve_runs_through_a_rise_below_the_start():
     # the residual rises five times in a row but stays below its start,
     # and the chord iteration then converges
-    grad, grad_hess, residual, calls = _wavy_model(0.5, 2.0 * np.pi)
+    grad, hess, residual, calls = _wavy_model(0.5, 2.0 * np.pi)
     xi0 = np.array([np.sqrt(5.0), 2.0])
-    xi, lam, status = _newton_solve(grad, grad_hess, np.zeros(2), xi0, 0.0, 3.0, TraceConfig())
+    [(xi, lam, status)] = _newton_solve(*_stacked_model(grad, hess), np.zeros(2), xi0[None],
+                                        0.0, 3.0, TraceConfig())
     assert status == "ok"
     res = [residual(x, 3.0) for x in calls]
     rises = [b > a for a, b in zip(res, res[1:])]
@@ -166,40 +193,134 @@ def test_newton_solve_runs_through_a_rise_below_the_start():
 
 
 def test_newton_solve_stops_a_flat_stall():
-    # f'(x_2) = 2 x_2 under a frozen Hessian of half that curvature: each
-    # chord step sends x_2 = 1/2 to -x_2 and back, and the residual rises
-    # once, from 1 to 1.416, then stays flat at 1.414. It never rises five
-    # times in a row, and it sets no new running minimum for twelve
-    # iterates
+    # each chord step sends x_2 = 1/2 to -x_2 and back, and the residual
+    # rises once, from 1 to 1.416, then stays flat at 1.414. It never
+    # rises five times in a row, and it sets no new running minimum for
+    # twelve iterates
     calls = []
-
-    def grad(x):
-        calls.append(x.copy())
-        return np.array([0.0, 2.0 * x[1]])
-
     xi0 = np.array([np.sqrt(100.0 - 0.25), 0.5])
-    out = _newton_solve(grad, lambda x: (grad(x), np.diag([0.0, 1.0])), np.zeros(2), xi0,
-                        0.0, 10.0, TraceConfig())
+    [out] = _newton_solve(*_stacked_model(*_flat_stall_model(calls)), np.zeros(2), xi0[None],
+                          0.0, 10.0, TraceConfig())
     assert out == (None, None, "diverged")
     assert len(calls) == 13
     assert [x[1] for x in calls] == pytest.approx([0.5, -0.5] * 6 + [0.5])
 
 
 def test_newton_solve_reports_an_exactly_singular_jacobian():
-    # a linear f has H = 0; with lambda = 0 and u = e_1 the bordered
-    # Jacobian has a zero row, so its smallest singular value is exactly 0
+    # with lambda = 0 and u = e_1 the bordered Jacobian of a linear f has
+    # a zero row, so its smallest singular value is exactly 0
     calls = []
-
-    def grad(x):
-        calls.append(x)
-        return np.array([0.0, 1.0])
-
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = _newton_solve(grad, lambda x: (grad(x), np.zeros((2, 2))), np.zeros(2),
-                            np.array([1.0, 0.0]), 0.0, 1.0, TraceConfig())
+        [out] = _newton_solve(*_stacked_model(*_linear_model(calls)), np.zeros(2),
+                              np.array([[1.0, 0.0]]), 0.0, 1.0, TraceConfig())
     assert out == (None, None, "singular")
     assert len(calls) == 1
+
+
+def _newton_solve_alone(grad, grad_hess, center, xi, lam, r, cfg):
+    # the chord solve of one problem, with grad and grad_hess taking one
+    # point: the reference each row of a lockstep solve must equal bit for
+    # bit
+    n = center.size
+    try:
+        g, H = grad_hess(xi)
+    except TangencyLabError:
+        return None, None, "diverged"
+    J = np.zeros((n + 1, n + 1))
+    F = np.empty(n + 1)
+    for it in range(cfg.max_newton_iters):
+        u = xi - center
+        if it:
+            try:
+                g = grad(xi)
+            except TangencyLabError:
+                return None, None, "diverged"
+        F[:n] = g - 2.0 * lam * u
+        F[n] = u @ u - r * r
+        if not np.isfinite(F).all():
+            return None, None, "diverged"
+        res = np.linalg.norm(F)
+        if res <= cfg.newton_tol:
+            return xi, lam, "ok"
+        if it == 0:
+            res0 = best = res
+            rises = since_best = 0
+        else:
+            rises = rises + 1 if res > res_prev else 0
+            since_best = 0 if res < best else since_best + 1
+            best = min(best, res)
+            if (rises >= 5 and res > res0) or since_best >= 12:
+                return None, None, "diverged"
+        res_prev = res
+        np.subtract(H, 2.0 * lam * np.eye(n), out=J[:n, :n])
+        J[:n, n] = -2.0 * u
+        J[n, :n] = 2.0 * u
+        sv = np.linalg.svd(J, compute_uv=False)
+        if sv[-1] == 0.0 or sv[0] / sv[-1] >= cfg.cond_threshold:
+            return None, None, "singular"
+        try:
+            step = np.linalg.solve(J, -F)
+        except np.linalg.LinAlgError:
+            return None, None, "singular"
+        if not np.isfinite(step).all():
+            return None, None, "diverged"
+        xi = xi + step[:n]
+        lam = lam + step[n]
+    return None, None, "diverged"
+
+
+def test_newton_solve_rows_in_lockstep_end_as_they_end_alone():
+    # one stack of the models above, each row on its own circle, with a
+    # row whose gradient raises at its third evaluation: the stacked call
+    # raises, its rows are evaluated alone, and that row ends 'diverged'.
+    # A row is told by its circle, so each takes its own model in the
+    # stack and alone
+    calls, raised = [], []
+    runaway = _wavy_model(1.0 / np.pi, 2.0 * np.pi)[:2]
+
+    def raising_grad(x):
+        if abs(x[1]) > 1.5:
+            raised.append(x)
+            raise NearParallelRows("a raising row")
+        return runaway[0](x)
+
+    rows = [  # (model, r, guess's x_2, outcome alone)
+        (_wavy_model(0.2, 1.0)[:2], 0.5, 0.2, "ok"),
+        (runaway, 100.0, 0.5, "diverged"),
+        (_wavy_model(0.5, 2.0 * np.pi)[:2], 3.0, 2.0, "ok"),
+        (_flat_stall_model(calls), 10.0, 0.5, "diverged"),
+        (_linear_model(calls), 1.0, 0.0, "singular"),
+        ((raising_grad, runaway[1]), 30.0, 0.5, "diverged"),
+    ]
+    radii = np.array([r for _, r, _, _ in rows])
+
+    def model(x):
+        return rows[int(np.argmin(np.abs(np.log(np.hypot(*x) / radii))))][0]
+
+    grads, grad_hess = _stacked_model(lambda x: model(x)[0](x), lambda x: model(x)[1](x))
+    X = np.array([[np.sqrt(r * r - x2 * x2), x2] for _, r, x2, _ in rows])
+    cfg, center = TraceConfig(), np.zeros(2)
+    alone = [_newton_solve_alone(lambda x: model(x)[0](x), lambda x: (model(x)[0](x), model(x)[1](x)),
+                                 center, x, 0.0, r, cfg) for x, r in zip(X, radii)]
+    assert [status for _, _, status in alone] == [outcome for *_, outcome in rows]
+    assert len(raised) == 1
+    one_row = [_newton_solve(grads, grad_hess, center, x[None], 0.0, r, cfg)[0] for x, r in zip(X, radii)]
+    assert len(raised) == 2
+    for accept, n_out in ((None, len(rows)), (lambda i, x: i != 0, 3)):
+        # with `accept`, row 0 fails it, and the rows after row 2 are dropped
+        stacked = _newton_solve(grads, grad_hess, center, X, np.zeros(len(rows)), radii, cfg, accept)
+        # the stack and then the raising row alone
+        assert accept is not None or len(raised) == 4
+        assert len(stacked) == n_out
+        for i, outs in enumerate(zip(stacked, one_row, alone)):
+            if accept is not None and i == 0:
+                assert outs[0] == (None, None, "diverged")
+                continue
+            assert len({status for _, _, status in outs}) == 1
+            if outs[0][2] == "ok":
+                assert len({xi.tobytes() for xi, _, _ in outs}) == 1
+                assert len({np.float64(lam).tobytes() for _, lam, _ in outs}) == 1
 
 
 def test_trace_config_validation():
@@ -213,6 +334,11 @@ def test_trace_config_validation():
         for bad in (np.inf, np.nan):
             with pytest.raises(ValueError, match=name):
                 TraceConfig(**{name: bad})
+    # settings under which no solve can converge
+    for name, bad in (("newton_tol", 0.0), ("newton_tol", -1.0), ("max_newton_iters", 0),
+                      ("cond_threshold", 1.0), ("cond_threshold", 0.5)):
+        with pytest.raises(ValueError, match=name):
+            TraceConfig(**{name: bad})
 
 
 # ------------------------------------------------------------- trace_arc
@@ -388,7 +514,8 @@ def test_sphere_descent_evaluates_each_point_once(c0i_record, monkeypatch):
             return newton_solve(*args)
         finally:
             polishing[0] = False
-            phases.append([])
+            # a phase ends at the polish of each start of the stack
+            phases.extend([] for _ in args[3])
 
     def counting_hessian(*args):
         hessians.append(args)
@@ -495,8 +622,10 @@ def _sphere_extremize_start_by_start(chart, center, problems, n_starts=8, seed=0
         for xi, point in ends:
             u = xi - center_xi
             lam = (point.gradient() @ u) / (2.0 * (u @ u))
-            sol_xi, _, status = _newton_solve(
-                grad_fn, lambda x: point.gradient_hessian(), center_xi, xi, lam, r, TraceConfig())
+            # one polish per start, each point evaluated alone
+            [(sol_xi, _, status)] = _newton_solve(
+                *_stacked_model(grad_fn, lambda x: point.gradient_hessian()[1]),
+                center_xi, xi[None], lam, r, TraceConfig())
             if status != "ok":
                 continue
             u = sol_xi - center_xi
@@ -637,7 +766,8 @@ def test_failing_sphere_problem_raises_its_own_error_after_the_earlier_ones(monk
     polished, newton_solve = [], tracer._newton_solve
 
     def counting_solve(*args):
-        polished.append(args[-2])
+        # the radius of each start of the stack
+        polished.extend(np.broadcast_to(args[-2], len(args[3])).tolist())
         return newton_solve(*args)
 
     monkeypatch.setattr(tracer, "_newton_solve", counting_solve)
@@ -707,6 +837,14 @@ def test_arc_radius_table_single_cell(c0i_record):
     assert cell["runs"], "expected per-run provenance"
 
 
+def test_arc_radius_table_reports_a_cell_without_a_traced_run_as_its_error(c0i_record):
+    cell = arc_radius_table("C0I", 1, 7, TraceConfig(newton_tol=1e-300),
+                            refine=lambda fam, d: c0i_record)
+    assert cell["value"] == "error:NoConvergence"
+    assert cell["runs"] and all(run == ("error:NoConvergence", None) for run in cell["runs"])
+    assert "arc" not in cell and cell["radius"] is None
+
+
 def test_arc_radius_table_pins_the_newton_path():
     # tags exact and radii to 1e-9: a change of predictor, corrector or
     # step solve moves these radii by more than rounding
@@ -715,3 +853,126 @@ def test_arc_radius_table_pins_the_newton_path():
     radii = [radius for _, radius in cell["runs"]]
     assert tags == ["StepStalled", "StepStalled"]
     assert radii == pytest.approx([1.3699260033203136, 1.2432956627441412], abs=1e-9)
+
+
+# ------------------------------------------------------ lockstep halvings
+
+
+def _continue_arc_one_solve_at_a_time(grad_fn, grad_hess_fn, center, direction, rayleigh, cfg):
+    # `tracer.continue_arc` with each halving of a step solved alone, once
+    # the one before it failed, by `_newton_solve_alone`: the reference the
+    # lockstep ladder must equal bit for bit
+    grad = lambda x: grad_fn(x[None])[0]
+
+    def grad_hess(x):
+        g, H = grad_hess_fn(x[None])
+        return g[0], H[0]
+
+    def solve_at(r, base_r, base_xi, base_lam):
+        guess = center + (r / base_r) * (base_xi - center)
+        return _newton_solve_alone(grad, grad_hess, center, guess, base_lam, r, cfg)
+
+    xi, lam, status = _newton_solve_alone(grad, grad_hess, center, center + cfg.r_min * direction,
+                                          0.5 * rayleigh, cfg.r_min, cfg)
+    if status != "ok":
+        raise NoConvergence(f"no tangency solution at r_min ({status})")
+    samples = [(cfg.r_min, xi.copy(), float(lam))]
+    stalled_streak = 0
+    checkpoints = (cfg.r_min + j * cfg.delta_r for j in tracer._checkpoint_multiples())
+    checkpoint = next(checkpoints)
+    next_step = cfg.delta_r
+    while True:
+        r_prev, xi_prev, lam_prev = samples[-1]
+        if r_prev >= cfg.r_max:
+            return samples, "ReachedRmax", r_prev
+        while checkpoint <= r_prev:
+            checkpoint = next(checkpoints)
+        step = next_step
+        while True:
+            r = min(r_prev + step, checkpoint, cfg.r_max)
+            xi, lam, status = solve_at(r, r_prev, xi_prev, lam_prev)
+            guess = center + (r / r_prev) * (xi_prev - center)
+            if status == "ok" and np.linalg.norm(xi - guess) > max(0.1 * r, 20.0 * (r - r_prev)):
+                status = "diverged"
+            if status == "ok":
+                break
+            step *= 0.5
+            while step >= 1e-9 and min(r_prev + step, checkpoint, cfg.r_max) >= r:
+                step *= 0.5
+            if step < 1e-9:
+                return samples, tracer._FAIL_TAG[status], r_prev
+        if step == next_step:
+            next_step = min(2.0 * step, 16.0 * cfg.delta_r)
+        else:
+            next_step = max(step, cfg.delta_r)
+        if lam_prev * lam < 0 or lam == 0.0:
+            lo, hi = (r_prev, xi_prev, lam_prev), (r, xi, float(lam))
+            for _ in range(64):
+                if hi[0] - lo[0] <= 1e-9 * max(1.0, hi[0]):
+                    break
+                rm = 0.5 * (lo[0] + hi[0])
+                xm, lm, st = solve_at(rm, lo[0], lo[1], lo[2])
+                if st != "ok":
+                    break
+                if lm * lo[2] > 0:
+                    lo = (rm, xm, float(lm))
+                else:
+                    hi = (rm, xm, float(lm))
+            if lo[0] > samples[-1][0]:
+                samples.append(lo)
+            if hi[0] > samples[-1][0]:
+                samples.append(hi)
+            denom = lo[2] - hi[2]
+            r_star = lo[0] + (hi[0] - lo[0]) * (lo[2] / denom) if denom != 0 else 0.5 * (lo[0] + hi[0])
+            return samples, "SingularJacobian", float(r_star)
+        samples.append((r, xi.copy(), float(lam)))
+        stalled_streak = stalled_streak + 1 if step < 1e-6 else 0
+        if stalled_streak >= 3:
+            return samples, "StepStalled", r
+
+
+def _assert_same_arcs(arcs, reference):
+    # samples to the bit, tags and terminal radii
+    assert len(arcs) == len(reference) > 0
+    for (samples, tag, terminal), (samples_ref, tag_ref, terminal_ref) in zip(arcs, reference):
+        assert (tag, terminal) == (tag_ref, terminal_ref)
+        assert [(r, xi.tobytes(), lam) for r, xi, lam in samples] == [
+            (r, xi.tobytes(), lam) for r, xi, lam in samples_ref]
+
+
+@pytest.mark.parametrize("family, k, d, delta_r", [
+    ("C1I", 1, 7, 0.004),  # the arcs-d7 cell
+    ("C1II", 1, 7, 1e-3),  # hundreds of failing halvings
+    ("C0II", 3, 20, 1e-3),  # branch jumps and bisections
+])
+def test_lockstep_halvings_match_the_one_solve_at_a_time_loop(monkeypatch, family, k, d, delta_r):
+    cfg = TraceConfig(delta_r=delta_r)
+    out = {}
+    for name, cont in (("lockstep", continue_arc), ("reference", _continue_arc_one_solve_at_a_time)):
+        arcs = []
+
+        def recording(*args, cont=cont, arcs=arcs):
+            arcs.append(cont(*args))
+            return arcs[-1]
+
+        monkeypatch.setattr(tracer, "continue_arc", recording)
+        out[name] = arc_radius_table(family, k, d, cfg), arcs
+    (cell, arcs), (cell_ref, arcs_ref) = out["lockstep"], out["reference"]
+    assert cell["value"] == cell_ref["value"] and cell["runs"] == cell_ref["runs"]
+    _assert_same_arcs(arcs, arcs_ref)
+    if family == "C0II":
+        assert "SingularJacobian" in [tag for _, tag, _ in arcs]
+
+
+def test_lockstep_halvings_match_the_one_solve_at_a_time_loop_on_the_toy(monkeypatch):
+    # the launches and the minimum-to-saddle arc of the toy's tests
+    a = np.sqrt(2.0 / 3.0)
+    arcs = [((1.0, 0.0), (1.0, 0.0), 2e-3), ((1.0, 0.0), (0.0, 1.0), 2e-3),
+            ((a, a), (1.0, -1.0), 2e-3), ((a, a), (1.0, 1.0), 2e-3), ((a, a), (1.0, -1.0), 3.0)]
+    out = {}
+    for cont in (continue_arc, _continue_arc_one_solve_at_a_time):
+        monkeypatch.setattr(toy, "continue_arc", cont)
+        out[cont] = [toy.trace_from(c, np.array(v) / np.linalg.norm(v), TraceConfig(delta_r=1e-4, r_max=r_max))
+                     for c, v, r_max in arcs]
+    _assert_same_arcs(out[continue_arc], out[_continue_arc_one_solve_at_a_time])
+    assert out[continue_arc][-1][1] == "SingularJacobian"
