@@ -14,14 +14,22 @@ per point of a stack), the SVD calls (`np.linalg.svd` or
 (`lockstep_rounds`: the gradient and gradient-Hessian calls, each a
 stacked iterate round; a stack that raises and the row-by-row calls
 that replace it each count) and the rows started (`row_solves`: the
-solves a call is handed, the speculative halvings dropped after an
-accepted one included), plus the wall time. The counts do not depend
-on the machine. The counters wrap the gradient and Hessian functions
-each solve is handed, from outside the package, so the script counts
-whichever version of `tangency_lab` is first on the path, one whose
-second function returns the Hessian alone or whose solver takes one
-point and returns one outcome included, as long as its
-`arc_radius_table` takes one cell.
+solves a call is handed), plus the wall time. The counts do not depend
+on the machine.
+
+A solver call returns one outcome per row, and `continue_arc` takes
+the first rung of a halving ladder that converged near its guess; it
+marks a far landing 'diverged' in the list the call returned. So the
+outcomes are read once the cell has run: of each call's rows, those up
+to and including its first 'ok', or all of them when none ended 'ok'.
+The rows of a ladder past the rung it took show only in `row_solves`.
+
+The counters wrap the gradient and Hessian functions each solve is
+handed, from outside the package, so the script counts whichever
+version of `tangency_lab` is first on the path, one whose second
+function returns the Hessian alone or whose solver takes one point and
+returns one outcome included, as long as its `arc_radius_table` takes
+one cell.
 """
 
 import argparse
@@ -45,7 +53,7 @@ def main():
     counts = {"newton_solves": 0, "gradient_calls": 0, "hessian_or_combined_calls": 0,
               "gradients_evaluated": 0, "svds": 0, "lockstep_rounds": 0, "row_solves": 0}
     outcomes = {"ok": 0, "diverged": 0, "singular": 0}
-    inside = [0]
+    inside, returned = [0], []
 
     def rows(xi):
         return len(xi) if np.ndim(xi) == 2 else 1
@@ -82,10 +90,9 @@ def main():
             out = newton_solve(counted_grad(grad_fn), counted_hess(hess_fn), center, xi, *a, **kw)
         finally:
             inside[0] -= 1
-        # a solver of one point returns one outcome, a stacked one a list
-        for _, _, status in out if isinstance(out, list) else [out]:
-            counts["newton_solves"] += 1
-            outcomes[status] += 1
+        # a solver of one point returns one outcome, a stacked one a list,
+        # which the caller may still mark or extend
+        returned.append((out, len(out)) if isinstance(out, list) else ([out], 1))
         return out
 
     newton_solve = tracer._newton_solve
@@ -99,6 +106,11 @@ def main():
     t0 = time.perf_counter()
     cell = tracer.arc_radius_table(args.family, args.k, args.d, cfg)
     wall = time.perf_counter() - t0
+    for out, n in returned:
+        statuses = [status for _, _, status in out[:n]]
+        for status in statuses[:statuses.index("ok") + 1] if "ok" in statuses else statuses:
+            counts["newton_solves"] += 1
+            outcomes[status] += 1
     print(json.dumps({
         "cell": {"family": args.family, "k": args.k, "d": args.d, "delta_r": args.delta_r},
         "value": cell["value"],

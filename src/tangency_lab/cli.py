@@ -238,10 +238,6 @@ def _trace_config(args):
         raise ConfigError(str(e))
 
 
-def _arc_cell(task):
-    return arc_radius_table(*task)
-
-
 def cmd_arcs(args, outdir):
     families = _parse_families(args.family)
     ds = _parse_int_list(args.d, "--d")
@@ -262,18 +258,19 @@ def cmd_arcs(args, outdir):
         "seed": args.seed,
     }
     keys = [(fam, k, d) for d in sorted(ds) for k in sorted(ks) for fam in families]
-    tasks = [key + (cfg,) for key in keys]
+    # arc_radius_table's arguments, one iterable each
+    columns = [*zip(*keys), [cfg] * len(keys)]
     # a fork-based pool starts every worker at its first submit
-    workers = min(args.jobs, len(tasks))
+    workers = min(args.jobs, len(keys))
     if workers > 1:
         # imported here: the pool's modules cost every other command
         # about 2 MB and 20 ms at start-up
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = dict(zip(keys, pool.map(_arc_cell, tasks)))
+            results = dict(zip(keys, pool.map(arc_radius_table, *columns)))
     else:
-        results = dict(zip(keys, map(_arc_cell, tasks)))
+        results = dict(zip(keys, map(arc_radius_table, *columns)))
 
     failed = False
     rows = []
@@ -347,7 +344,8 @@ def cmd_sphere(args, outdir):
     chart = build_chart(d, YoungPartitionGroup((d - k,) + (1,) * k))
     rec = refined_minimum(family, d)
     center = transfer(rec.chart, rec.xi, chart)
-    special = (d - 1,) if family in ("C1I", "C1II") else ()
+    # the minimum's fixed coordinates: the singletons of its chart
+    special = range(rec.chart.group.blocks[0], d)
     radii = np.geomspace(lo, hi, count)
 
     def describe(xi):
@@ -471,8 +469,6 @@ def _build_parser():
     common.add_argument("--out", default="tangency-lab-out",
                         help="output directory (TANGENCY_LAB_OUT overrides)")
     common.add_argument("--seed", type=int, default=0, help="RNG seed")
-    common.add_argument("--jobs", type=int, default=0,
-                        help="parallel worker count (0 = sequential)")
     common.add_argument("--config", default=None,
                         help="JSON file whose entries become flag defaults")
 
@@ -502,6 +498,8 @@ def _build_parser():
     p.add_argument("--newton-tol", dest="newton_tol", type=float, default=None)
     p.add_argument("--max-newton-iters", dest="max_newton_iters", type=int, default=None)
     p.add_argument("--cond-threshold", dest="cond_threshold", type=float, default=None)
+    p.add_argument("--jobs", type=int, default=0,
+                   help="parallel worker count (0 = sequential)")
     p.set_defaults(func=cmd_arcs)
 
     p = sub.add_parser("sphere", parents=[common],

@@ -110,7 +110,7 @@ class _Residuals:
         return (self.rises >= 5 and res > self.start) or self.since_best >= 12
 
 
-def _newton_solve(grad_fn, grad_hess_fn, center, xi, lam, r, cfg, accept=None):
+def _newton_solve(grad_fn, grad_hess_fn, center, xi, lam, r, cfg):
     """Solve [grad - 2*lam*u; |u|^2 - r^2] = 0 from each row of a stack of guesses.
 
     The rows of xi (B, n), with lam and r (each a scalar or one value per
@@ -137,26 +137,21 @@ def _newton_solve(grad_fn, grad_hess_fn, center, xi, lam, r, cfg, accept=None):
     one stacked call (the first round their gradients and Hessians),
     tests their conditions with one stacked SVD and takes their steps
     with one stacked solve, and a row leaves the stack when it ends. Each
-    row takes the floating-point operations of its problem solved alone.
-    When a stacked evaluation raises, its rows are evaluated alone, and a
-    row that raises ends 'diverged'.
+    row takes the floating-point operations of its problem solved alone,
+    and no row's outcome depends on another's. When a stacked evaluation
+    raises, its rows are evaluated alone, and a row that raises ends
+    'diverged'.
 
     Returns one (xi, lam, 'ok') or (None, None, reason) per row, reason
-    one of 'singular', 'diverged'. With `accept`, a test accept(i, xi) of
-    row i's solution, a row that converges but fails it ends 'diverged',
-    and only the first row that ends 'ok' is wanted: the rows after it
-    are dropped once it has ended, and the list ends with it.
+    one of 'singular', 'diverged'.
     """
     n = center.size
     rows = list(range(len(xi)))
     lam, r = np.full(len(rows), lam), np.full(len(rows), r)
     rr = r * r
     ends = [(None, None, "diverged")] * len(rows)
-    last = len(rows)  # the rows from `last` on are dropped
     history = [None] * len(rows)
     eye = np.eye(n)
-    # J[:, n, n] stays 0; the rest of J and F is rewritten each round
-    Fs, Js = np.empty((len(rows), n + 1)), np.zeros((len(rows), n + 1, n + 1))
     grads = lambda X: (grad_fn(X),)
     for it in range(cfg.max_newton_iters):
         if it == 0:
@@ -165,19 +160,16 @@ def _newton_solve(grad_fn, grad_hess_fn, center, xi, lam, r, cfg, accept=None):
             G, = _stacked(grads, xi, (n,))
         U = xi - center
         shift = 2.0 * lam
-        F = Fs[:len(rows)]
+        F = np.empty((len(rows), n + 1))
         F[:, :n] = G - shift[:, None] * U
         F[:, n] = _dots(U) - rr
         keep = []
         for i, (row, res) in enumerate(zip(rows, np.sqrt(_dots(F)).tolist())):
             # a non-finite F gives a non-finite residual
-            if row >= last or not (math.isfinite(res) or np.isfinite(F[i]).all()):
+            if not (math.isfinite(res) or np.isfinite(F[i]).all()):
                 continue
             if res <= cfg.newton_tol:
-                if accept is None or accept(row, xi[i]):
-                    ends[row] = (xi[i], lam[i], "ok")
-                    if accept is not None:
-                        last = row + 1
+                ends[row] = (xi[i], lam[i], "ok")
             elif it == 0:
                 history[row] = _Residuals(res)
                 keep.append(i)
@@ -188,8 +180,8 @@ def _newton_solve(grad_fn, grad_hess_fn, center, xi, lam, r, cfg, accept=None):
                 break
             rows = [rows[i] for i in keep]
             xi, lam, rr, H, U, F, shift = (a[keep] for a in (xi, lam, rr, H, U, F, shift))
-        J = Js[:len(rows)]
-        np.subtract(H, shift[:, None, None] * eye, out=J[:, :n, :n])
+        J = np.zeros((len(rows), n + 1, n + 1))
+        J[:, :n, :n] = H - shift[:, None, None] * eye
         J[:, :n, n] = -2.0 * U
         J[:, n, :n] = 2.0 * U
         keep = []
@@ -222,7 +214,7 @@ def _newton_solve(grad_fn, grad_hess_fn, center, xi, lam, r, cfg, accept=None):
             xi, lam, rr, H, step = (a[finite] for a in (xi, lam, rr, H, step))
         xi = xi + step[:, :n]
         lam = lam + step[:, n]
-    return ends[:last]
+    return ends
 
 
 _FAIL_TAG = {"singular": "SingularJacobian", "diverged": "NewtonDiverged"}
@@ -267,10 +259,9 @@ def continue_arc(grad_fn, grad_hess_fn, center, direction, rayleigh, cfg):
     steps of 1e-9) is solved in one lockstep `_newton_solve`: the halvings
     all start from the same sample, so none depends on another. The
     first rung in ladder order that converges without a far landing is
-    taken, and the rungs after it are dropped once it has converged; when
-    every rung fails, the last rung's failure tags the arc. The samples,
-    tags and radii are those of solving the halvings one after another,
-    to the bit.
+    taken; when every rung fails, the last rung's failure tags the arc.
+    The samples, tags and radii are those of solving the halvings one
+    after another, to the bit.
 
     Two degeneracies end an arc before r_max. A fold (no solution beyond
     some radius) exhausts the step halving, leaving StepStalled or the
@@ -285,15 +276,15 @@ def continue_arc(grad_fn, grad_hess_fn, center, direction, rayleigh, cfg):
         base_r, base_xi, base_lam = base
         radii = np.array(radii)
         guess = center + (radii / base_r)[:, None] * (base_xi - center)
-
-        def near(i, xi):
+        solved = _newton_solve(grad_fn, grad_hess_fn, center, guess, base_lam, radii, cfg)
+        for i, (xi, _, status) in enumerate(solved):
             # Newton landed on a different solution branch: past a fold the
             # local branch has no point at this radius, so a far landing is
             # a failure of the step, not a continuation.
-            return not np.linalg.norm(xi - guess[i]) > max(0.1 * radii[i], 20.0 * (radii[i] - base_r))
-
-        return _newton_solve(grad_fn, grad_hess_fn, center, guess, base_lam, radii, cfg,
-                             near if reject_far else None)
+            if (reject_far and status == "ok" and np.linalg.norm(xi - guess[i])
+                    > max(0.1 * radii[i], 20.0 * (radii[i] - base_r))):
+                solved[i] = (None, None, "diverged")
+        return solved
 
     [(xi, lam, status)] = _newton_solve(grad_fn, grad_hess_fn, center,
                                         (center + cfg.r_min * direction)[None],
@@ -327,10 +318,11 @@ def continue_arc(grad_fn, grad_hess_fn, center, direction, rayleigh, cfg):
         tried = solve_at([ladder[0][1]], samples[-1], reject_far=True)
         if tried[0][2] != "ok" and len(ladder) > 1:
             tried += solve_at([r for _, r in ladder[1:]], samples[-1], reject_far=True)
-        xi, lam, status = tried[-1]
+        used = next((i for i, (_, _, st) in enumerate(tried) if st == "ok"), len(tried) - 1)
+        xi, lam, status = tried[used]
         if status != "ok":
             return samples, _FAIL_TAG[status], r_prev
-        step, r = ladder[len(tried) - 1]
+        step, r = ladder[used]
         if step == next_step:
             next_step = min(2.0 * step, 16.0 * cfg.delta_r)
         else:
@@ -449,32 +441,35 @@ def _trust_region_step(mu, beta, delta):
     return p
 
 
-def _evaluate(chart, X):
-    """The loss, gradient and Hessian at each row of X (B, n), from one
-    stacked orbit evaluation: a list of (f, (g, H)) per row.
+def _evaluate(chart, X, hessian=True):
+    """The loss and gradient at each row of X (B, n), with the Hessian if
+    `hessian`, from one stacked orbit evaluation: a list of (f, g), or of
+    (f, (g, H)), per row.
 
     When the stacked call raises, its rows are evaluated alone, and the
     error a row raises takes the place of what it could not give: of both
-    entries if the point itself is invalid, of the pair if only its
-    derivatives raise.
+    entries if the point itself is invalid, of the derivatives if only
+    they raise.
     """
+    derivatives = (lambda p: p.gradient_hessian()) if hessian else (lambda p: p.gradient())
     try:
         point = chart_point(chart, X)
-        G, H = point.gradient_hessian()
-        return [(f, (g, h)) for f, g, h in zip(point.loss(), G, H)]
+        D = derivatives(point)
+        return list(zip(point.loss(), zip(*D) if hessian else D))
     except TangencyLabError:
-        return [_evaluate_alone(chart, x) for x in X]
-
-
-def _evaluate_alone(chart, x):
-    try:
-        point = chart_point(chart, x)
-    except TangencyLabError as e:
-        return e, e
-    try:
-        return point.loss(), point.gradient_hessian()
-    except TangencyLabError as e:
-        return point.loss(), e
+        pass
+    out = []
+    for x in X:
+        try:
+            point = chart_point(chart, x)
+        except TangencyLabError as e:
+            out.append((e, e))
+            continue
+        try:
+            out.append((point.loss(), derivatives(point)))
+        except TangencyLabError as e:
+            out.append((point.loss(), e))
+    return out
 
 
 def _sphere_descents(chart, center, X, r, sign, floor):
@@ -574,20 +569,20 @@ def sphere_extremize(chart, center, problems, n_starts=8, seed=0):
     `problems` is a sequence of (r, mode) pairs, mode 'min' or 'max',
     solved in order. Each has n_starts starts: the two extremal
     eigenvectors (with both signs) of the restricted Hessian at the center,
-    then directions drawn from `default_rng(seed)`. The problems run one
-    after another. A problem's starts run their second-order descents in
-    lockstep, `_sphere_descents`, with one stacked orbit evaluation per
-    round; then the starts take their Newton polishes on the
-    stationarity system in one lockstep `_newton_solve`, each from the
-    gradient and Hessian its descent ended with, and a start, in order,
-    counts if its tangential gradient at the polished point is
-    at most 1e-9; the polished points' gradients and losses come from one
-    stacked orbit evaluation, with the bits of each point evaluated
-    alone. The first best value over the starts that count is
-    returned. Returns one (xi, value) per problem. An error raised while a
-    problem descends ends the call, after the problems before it are
-    solved: the error of its first start in start order that raised, as
-    if the starts had descended one after another.
+    then directions drawn from `default_rng(seed)`, the same for every
+    problem. The problems run one after another. A problem's starts run
+    their second-order descents in lockstep, `_sphere_descents`, with one
+    stacked orbit evaluation per round; then the starts take their Newton
+    polishes on the stationarity system in one lockstep `_newton_solve`,
+    each from the gradient and Hessian its descent ended with, and a
+    start, in order, counts if its tangential gradient at the polished
+    point is at most 1e-9; the polished points' gradients and losses come
+    from one stacked orbit evaluation (`_evaluate`), with the bits of each
+    point evaluated alone. The first best value over the starts that count
+    is returned. Returns one (xi, value) per problem. An error raised
+    while a problem descends ends the call, after the problems before it
+    are solved: the error of its first start in start order that raised,
+    as if the starts had descended one after another.
     """
     problems = list(problems)
     for r, mode in problems:
@@ -605,15 +600,13 @@ def sphere_extremize(chart, center, problems, n_starts=8, seed=0):
     floor = np.finfo(float).eps * chart.d ** 2
     grad_fn = lambda x: chart_gradient(chart, x)
     polish_cfg = TraceConfig()
+    drawn = np.random.default_rng(seed).normal(size=(n_starts - 2, chart.dim))
+    randoms = [v / np.linalg.norm(v) for v in drawn]
     results = []
     for r, mode in problems:
         sign = 1.0 if mode == "min" else -1.0
         pick = 0 if mode == "min" else -1
-        rng = np.random.default_rng(seed)
-        dirs = [evecs[:, pick], -evecs[:, pick]]
-        while len(dirs) < n_starts:
-            v = rng.normal(size=chart.dim)
-            dirs.append(v / np.linalg.norm(v))
+        dirs = [evecs[:, pick], -evecs[:, pick]] + randoms
         ends = _sphere_descents(chart, center_xi, center_xi + r * np.array(dirs), r, sign, floor)
         # per start: its error, None if the polish failed, or its point
         polished = [gh for _, gh in ends]
@@ -632,28 +625,19 @@ def sphere_extremize(chart, center, problems, n_starts=8, seed=0):
                 # the sphere, and its stationarity is tested there
                 u = sol_xi - center_xi
                 polished[i] = center_xi + (r / np.linalg.norm(u)) * u
-        # the polished points' losses and gradients from one stacked call;
-        # if it raises, each point is evaluated alone, in start order, so
-        # the first start's error is raised
+        # the polished points' losses and gradients from one stacked call,
+        # each error raised in start order
         points = [p for p in polished if isinstance(p, np.ndarray)]
-        values = None
-        if points:
-            try:
-                stack = chart_point(chart, np.array(points))
-                values = iter(zip(stack.gradient(), stack.loss()))
-            except TangencyLabError:
-                pass
+        values = iter(_evaluate(chart, np.array(points), hessian=False) if points else [])
         best_xi, best_val = None, None
         for sol_xi in polished:
             if isinstance(sol_xi, TangencyLabError):
                 raise sol_xi
             if sol_xi is None:
                 continue
-            if values is None:
-                point = chart_point(chart, sol_xi)
-                g, fx = point.gradient(), point.loss()
-            else:
-                g, fx = next(values)
+            fx, g = next(values)
+            if isinstance(g, TangencyLabError):
+                raise g
             u = sol_xi - center_xi
             if np.linalg.norm(g - ((g @ u) / (u @ u)) * u) > 1e-9:
                 continue
@@ -703,36 +687,31 @@ def minimal_eig_directions(chart, H, cluster_tol=1e-5):
     for kp in range(1, k):
         sub = build_chart(d, YoungPartitionGroup((d - kp,) + (1,) * kp))
         subbases.append(np.column_stack([transfer(sub, e, chart) for e in np.eye(sub.dim)]))
+
+    def split(B):
+        # the columns of B span a subspace: its directions in the smaller
+        # ambient charts come first, then its columns
+        if B.shape[1] > 1:
+            for SB in subbases:
+                W, sv2, _ = np.linalg.svd(B.T @ SB, full_matrices=False)
+                for i in np.flatnonzero(sv2 >= 1.0 - 1e-6):
+                    add(B @ W[:, i])
+        for j in range(B.shape[1]):
+            add(B[:, j])
+
     for label in ("t", "s", "x", "y"):
         A = np.column_stack(
             [project(chart, isotypic_project(embed(chart, E[:, j]), label)) for j in range(m)]
         )
         U, sv, _ = np.linalg.svd(A, full_matrices=False)
-        L = U[:, sv > 0.05]
-        if L.shape[1] == 0:
-            continue
-        if L.shape[1] > 1:
-            for SB in subbases:
-                M = L.T @ SB
-                W, sv2, _ = np.linalg.svd(M, full_matrices=False)
-                for i in range(len(sv2)):
-                    if sv2[i] >= 1.0 - 1e-6:
-                        add(L @ W[:, i])
-        for j in range(L.shape[1]):
-            add(L[:, j])
+        split(U[:, sv > 0.05])
     # a cluster spanning several labels (an exact degeneracy) is still
     # split canonically by membership in the smaller ambients
-    for SB in subbases:
-        W, sv2, _ = np.linalg.svd(E.T @ SB, full_matrices=False)
-        for i in range(len(sv2)):
-            if sv2[i] >= 1.0 - 1e-6:
-                add(E @ W[:, i])
-    for j in range(m):
-        add(E[:, j])
+    split(E)
     return cands, lam0
 
 
-def arc_radius_table(family, k, d, cfg=None, refine=None):
+def arc_radius_table(family, k, d, cfg=None):
     """Terminal radius of the minimal-eigenvalue arcs of one (family, k, d) cell.
 
     k names the (d-k, 1^k) ambient chart, i.e. the number of singleton
@@ -742,16 +721,12 @@ def arc_radius_table(family, k, d, cfg=None, refine=None):
     the ArcRecord that realized it (for 'inf', the first arc traced). A
     failure to set the cell up, or a cell in which no run traced, is
     reported as 'error:<name>', with the name of the setup's error or of
-    the first run's.
-
-    `refine` maps (family, d) to a CriticalPointRecord, by default the
-    memoized `atlas.refined_minimum`.
+    the first run's. The center is the memoized `atlas.refined_minimum`.
     """
     cfg = cfg or TraceConfig()
-    refine = refine or refined_minimum
     chart = build_chart(d, YoungPartitionGroup((d - k,) + (1,) * k))
     try:
-        rec = refine(family, d)
+        rec = refined_minimum(family, d)
         center_xi = transfer(rec.chart, rec.xi, chart)
         dirs, lam0 = minimal_eig_directions(chart, chart_hessian(chart, center_xi))
     except TangencyLabError as e:

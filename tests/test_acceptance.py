@@ -18,6 +18,7 @@ from tangency_lab.atlas import (
     chart_hessian,
     predicted_loss,
     refine_critical,
+    refined_minimum,
     seed_minimum,
 )
 from tangency_lab.kernel import grad_loss, hvp, loss
@@ -45,15 +46,6 @@ from tangency_lab.tracer import (
     trace_arc,
 )
 
-_CACHE = {}
-
-
-def refined(family, d):
-    if (family, d) not in _CACHE:
-        _CACHE[(family, d)] = refine_critical(*seed_minimum(family, d))
-    return _CACHE[(family, d)]
-
-
 def test_criterion_1_refined_loss_values():
     failures = []
     for fam, d, check in (("C0I", 25, "abs"), ("C0I", 100, "abs"),
@@ -61,7 +53,6 @@ def test_criterion_1_refined_loss_values():
         t0 = time.perf_counter()
         rec = refine_critical(*seed_minimum(fam, d))
         dt = time.perf_counter() - t0
-        _CACHE[(fam, d)] = rec
         pred = predicted_loss(fam, d)
         gap = abs(rec.loss_value - pred)
         if check == "abs":
@@ -85,7 +76,7 @@ def test_criterion_2_spectrum_vs_two_term_predictions():
     failures = []
     for fam in FAMILIES:
         t0 = time.perf_counter()
-        rep = full_spectrum(refined(fam, d))
+        rep = full_spectrum(refined_minimum(fam, d))
         dt = time.perf_counter() - t0
         pred = predicted_spectrum(fam, d)
         if [(m, l) for _, m, l in rep.entries] != [(m, l) for _, m, l in pred.entries]:
@@ -107,7 +98,7 @@ def test_criterion_2_spectrum_vs_two_term_predictions():
 def test_criterion_3_block_dense_equivalence():
     failures = []
     for fam, d in itertools.product(FAMILIES, (7, 8)):
-        rec = refined(fam, d)
+        rec = refined_minimum(fam, d)
         flat = np.array(expand_report(full_spectrum(rec)))
         dense = np.array(brute_spectrum(embed(rec.chart, rec.xi)))
         gap = float(np.max(np.abs(flat - dense)))
@@ -120,8 +111,8 @@ def test_criterion_3_block_dense_equivalence():
 def test_criterion_4_sign_type_spectral_agreement():
     failures = []
     for d in (25, 100):
-        a = full_spectrum(refined("C0I", d)).entries
-        b = full_spectrum(refined("C0II", d)).entries
+        a = full_spectrum(refined_minimum("C0I", d)).entries
+        b = full_spectrum(refined_minimum("C0II", d)).entries
         assert [(m, l) for _, m, l in a] == [(m, l) for _, m, l in b]
         gaps = [abs(x[0] - y[0]) for x, y in zip(a, b)]
         tol = 5.0 / math.sqrt(d)
@@ -148,7 +139,7 @@ def test_criterion_5_arc_radius_grid():
         for k in (1, 2, 3):
             for fam in FAMILIES:
                 t0 = time.perf_counter()
-                cell = arc_radius_table(fam, k, d, refine=refined)
+                cell = arc_radius_table(fam, k, d)
                 dt = time.perf_counter() - t0
                 target = _RADIUS_GRID[d][(k, fam)]
                 if target is None:
@@ -178,7 +169,7 @@ def test_criterion_6_minimal_direction_symmetry():
     failures = []
     for d in (20, 100):
         for fam, (k, label, stated) in cases.items():
-            rec = refined(fam, d)
+            rec = refined_minimum(fam, d)
             chart = build_chart(d, YoungPartitionGroup((d - k,) + (1,) * k))
             center = project(chart, embed(rec.chart, rec.xi))
             dirs, _ = minimal_eig_directions(chart, chart_hessian(chart, center))
@@ -200,7 +191,7 @@ def test_criterion_7_sphere_minimum_rate_and_arc_agreement():
     charts = {"C0I": 2, "C0II": 2, "C1I": 3, "C1II": 2}
     failures = []
     for fam, k in charts.items():
-        rec = refined(fam, d)
+        rec = refined_minimum(fam, d)
         lam_min = min(ev for ev, _, _ in full_spectrum(rec).entries)
         chart = build_chart(d, YoungPartitionGroup((d - k,) + (1,) * k))
         center = project(chart, embed(rec.chart, rec.xi))

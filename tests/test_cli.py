@@ -69,6 +69,7 @@ def json_outputs_parse(tmp_path):
     ["arcs", "--family", "C1I", "--d", "7", "--k", "1", "--newton-tol", "-1"],
     ["arcs", "--family", "C1I", "--d", "7", "--k", "1", "--newton-tol", "0"],
     ["arcs", "--family", "C1I", "--d", "7", "--k", "1", "--cond-threshold", "1"],
+    ["spectrum", "--jobs", "2"],
 ])
 def test_bad_configuration_exits_2(tmp_path, args):
     if "--out" not in args:
@@ -211,8 +212,8 @@ def test_arcs_pool_is_no_larger_than_the_cell_count(tmp_path, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks):
-            return map(fn, tasks)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.delenv("TANGENCY_LAB_OUT", raising=False)

@@ -307,20 +307,24 @@ def test_newton_solve_rows_in_lockstep_end_as_they_end_alone():
     assert len(raised) == 1
     one_row = [_newton_solve(grads, grad_hess, center, x[None], 0.0, r, cfg)[0] for x, r in zip(X, radii)]
     assert len(raised) == 2
-    for accept, n_out in ((None, len(rows)), (lambda i, x: i != 0, 3)):
-        # with `accept`, row 0 fails it, and the rows after row 2 are dropped
-        stacked = _newton_solve(grads, grad_hess, center, X, np.zeros(len(rows)), radii, cfg, accept)
-        # the stack and then the raising row alone
-        assert accept is not None or len(raised) == 4
-        assert len(stacked) == n_out
-        for i, outs in enumerate(zip(stacked, one_row, alone)):
-            if accept is not None and i == 0:
-                assert outs[0] == (None, None, "diverged")
-                continue
-            assert len({status for _, _, status in outs}) == 1
-            if outs[0][2] == "ok":
-                assert len({xi.tobytes() for xi, _, _ in outs}) == 1
-                assert len({np.float64(lam).tobytes() for _, lam, _ in outs}) == 1
+    stacked = _newton_solve(grads, grad_hess, center, X, np.zeros(len(rows)), radii, cfg)
+    # the stack and then the raising row alone
+    assert len(raised) == 4
+    assert len(stacked) == len(rows)
+    for outs in zip(stacked, one_row, alone):
+        assert len({status for _, _, status in outs}) == 1
+        if outs[0][2] == "ok":
+            assert len({xi.tobytes() for xi, _, _ in outs}) == 1
+            assert len({np.float64(lam).tobytes() for _, lam, _ in outs}) == 1
+    # the rows are independent: reversed or permuted, the stack gives each
+    # row the status and bits of its solve alone
+    for order in (np.arange(len(rows))[::-1], np.random.default_rng(3).permutation(len(rows))):
+        moved = _newton_solve(grads, grad_hess, center, X[order], np.zeros(len(rows)), radii[order], cfg)
+        for (xi, lam, status), (xi_ref, lam_ref, status_ref) in zip(moved, [one_row[i] for i in order], strict=True):
+            assert status == status_ref
+            if status == "ok":
+                assert xi.tobytes() == xi_ref.tobytes()
+                assert np.float64(lam).tobytes() == np.float64(lam_ref).tobytes()
 
 
 def test_trace_config_validation():
@@ -829,17 +833,16 @@ def test_minimal_eig_directions_are_canonical_in_exact_cluster():
 # ----------------------------------------------------------- radius table
 
 
-def test_arc_radius_table_single_cell(c0i_record):
-    cell = arc_radius_table("C0I", 2, 7, refine=lambda fam, d: c0i_record)
+def test_arc_radius_table_single_cell():
+    cell = arc_radius_table("C0I", 2, 7)
     assert cell["value"] == "0.62"
     assert cell["radius"] == pytest.approx(0.62, abs=0.05)
     assert cell["arc"].terminal_radius == pytest.approx(cell["radius"], abs=1e-12)
     assert cell["runs"], "expected per-run provenance"
 
 
-def test_arc_radius_table_reports_a_cell_without_a_traced_run_as_its_error(c0i_record):
-    cell = arc_radius_table("C0I", 1, 7, TraceConfig(newton_tol=1e-300),
-                            refine=lambda fam, d: c0i_record)
+def test_arc_radius_table_reports_a_cell_without_a_traced_run_as_its_error():
+    cell = arc_radius_table("C0I", 1, 7, TraceConfig(newton_tol=1e-300))
     assert cell["value"] == "error:NoConvergence"
     assert cell["runs"] and all(run == ("error:NoConvergence", None) for run in cell["runs"])
     assert "arc" not in cell and cell["radius"] is None
