@@ -9,8 +9,8 @@ ended with (`ok`, `diverged`, `singular`), the sample count of the
 cell's winning arc, and inside the `tracer._newton_solve` calls: the
 calls of the chart gradient alone, the chart Hessians or combined
 gradient-Hessian evaluations, the gradients evaluated by either (one
-per point of a stack), the SVD calls (`np.linalg.svd` or
-`np.linalg.cond`, a stacked call counted once), the lockstep rounds
+per point of a stack), the SVD calls (`np.linalg.svd`, a stacked
+call counted once), the lockstep rounds
 (`lockstep_rounds`: the gradient and gradient-Hessian calls, each a
 stacked iterate round; a stack that raises and the row-by-row calls
 that replace it each count) and the rows started (`row_solves`: the
@@ -23,13 +23,6 @@ marks a far landing 'diverged' in the list the call returned. So the
 outcomes are read once the cell has run: of each call's rows, those up
 to and including its first 'ok', or all of them when none ended 'ok'.
 The rows of a ladder past the rung it took show only in `row_solves`.
-
-The counters wrap the gradient and Hessian functions each solve is
-handed, from outside the package, so the script counts whichever
-version of `tangency_lab` is first on the path, one whose second
-function returns the Hessian alone or whose solver takes one point and
-returns one outcome included, as long as its `arc_radius_table` takes
-one cell.
 """
 
 import argparse
@@ -55,9 +48,6 @@ def main():
     outcomes = {"ok": 0, "diverged": 0, "singular": 0}
     inside, returned = [0], []
 
-    def rows(xi):
-        return len(xi) if np.ndim(xi) == 2 else 1
-
     def counted(fn, *keys):
         def wrapper(*a, **kw):
             if inside[0]:
@@ -70,7 +60,7 @@ def main():
         def wrapper(xi):
             counts["gradient_calls"] += 1
             counts["lockstep_rounds"] += 1
-            counts["gradients_evaluated"] += rows(xi)
+            counts["gradients_evaluated"] += len(xi)
             return fn(xi)
         return wrapper
 
@@ -79,26 +69,24 @@ def main():
             counts["hessian_or_combined_calls"] += 1
             counts["lockstep_rounds"] += 1
             out = fn(xi)
-            counts["gradients_evaluated"] += rows(xi) if isinstance(out, tuple) else 0
+            counts["gradients_evaluated"] += len(xi)
             return out
         return wrapper
 
     def solve(grad_fn, hess_fn, center, xi, *a, **kw):
-        counts["row_solves"] += rows(xi)
+        counts["row_solves"] += len(xi)
         inside[0] += 1
         try:
             out = newton_solve(counted_grad(grad_fn), counted_hess(hess_fn), center, xi, *a, **kw)
         finally:
             inside[0] -= 1
-        # a solver of one point returns one outcome, a stacked one a list,
-        # which the caller may still mark or extend
-        returned.append((out, len(out)) if isinstance(out, list) else ([out], 1))
+        # the caller may still mark or extend the list
+        returned.append((out, len(out)))
         return out
 
     newton_solve = tracer._newton_solve
     tracer._newton_solve = solve
     np.linalg.svd = counted(np.linalg.svd, "svds")
-    np.linalg.cond = counted(np.linalg.cond, "svds")
 
     # refine the center before the clock starts, as the memoized CLI does
     atlas.refined_minimum(args.family, args.d)

@@ -11,13 +11,10 @@ computed, counted by rows (one per point of each
 `OrbitPoint.gradient_hessian` call that evaluates, not of those served
 from the point's cache); the calls of `sphere_extremize`; the
 trust-region iterations, that is the calls of
-`tracer._trust_region_step` (null for a version of the package without
-it); and the lockstep rounds, that is the stacked (B, n, n)
-`np.linalg.eigh` calls, one per round of a problem's descents (0 for a
-version that runs the descents one start at a time); plus the exit code
-and the wall time. The counts do not depend on the machine. The
-counters wrap these functions from outside the package, so the script
-counts any version of `tangency_lab` that is first on the path.
+`tracer._trust_region_step`; and the lockstep rounds, that is the
+stacked (B, n, n) `np.linalg.eigh` calls, one per round of a problem's
+descents; plus the exit code and the wall time. The counts do not
+depend on the machine.
 """
 
 import json
@@ -64,10 +61,7 @@ def main():
     kernel.OrbitPoint.gradient_hessian = counted_gradient_hessian
     np.linalg.eigh = counted_eigh
     cli.sphere_extremize = counted(cli.sphere_extremize, "sphere_extremize_calls")
-    if hasattr(tracer, "_trust_region_step"):
-        tracer._trust_region_step = counted(tracer._trust_region_step, "trust_region_iterations")
-    else:
-        counts["trust_region_iterations"] = None
+    tracer._trust_region_step = counted(tracer._trust_region_step, "trust_region_iterations")
 
     args = sys.argv[1:]
     with tempfile.TemporaryDirectory() as out:

@@ -86,26 +86,19 @@ def eval_series(series, d):
     return float(sum(c * d ** -e for c, e in series.terms))
 
 
-_TABLE = None
-
-
+@functools.lru_cache(maxsize=1)
 def series_table():
     """Seed-coefficient table: family tag -> parameter name -> PuiseuxApprox."""
-    global _TABLE
-    if _TABLE is None:
-        raw = json.loads(
-            resources.files("tangency_lab").joinpath("data/puiseux_series.json").read_text()
-        )
-        _TABLE = {
-            fam: {
-                name: PuiseuxApprox(
-                    tuple((t["value"], t["exponent"]) for t in terms)
-                )
-                for name, terms in xis.items()
-            }
-            for fam, xis in raw.items()
+    raw = json.loads(
+        resources.files("tangency_lab").joinpath("data/puiseux_series.json").read_text()
+    )
+    return {
+        fam: {
+            name: PuiseuxApprox(tuple((t["value"], t["exponent"]) for t in terms))
+            for name, terms in xis.items()
         }
-    return _TABLE
+        for fam, xis in raw.items()
+    }
 
 
 @dataclass(frozen=True)
@@ -130,7 +123,8 @@ def _type_label(chart, xi):
 def chart_point(chart, xi):
     """The loss and its chart derivatives at chart coordinates xi, from one
     evaluation of the orbit terms (a `kernel.OrbitPoint`); xi may also be
-    a stack (B, n) of points, for the loss and gradient of each."""
+    a stack (B, n) of points, for the loss, gradient and gradient-Hessian
+    of each."""
     return OrbitPoint(chart.layout, xi)
 
 

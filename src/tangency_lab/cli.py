@@ -98,7 +98,7 @@ def _write_csv(outdir, name, config, columns, rows):
 
 def _parse_int_list(text, what):
     try:
-        vals = [int(x) for x in str(text).split(",") if x != ""]
+        vals = [int(x) for x in text.split(",") if x != ""]
     except ValueError:
         raise ConfigError(f"{what} must be a comma separated integer list, got {text!r}")
     if not vals:
@@ -107,7 +107,7 @@ def _parse_int_list(text, what):
 
 
 def _parse_families(text):
-    fams = [f for f in str(text).split(",") if f != ""]
+    fams = [f for f in text.split(",") if f != ""]
     for f in fams:
         if f not in FAMILIES:
             raise ConfigError(f"unknown family {f!r}; choose from {', '.join(FAMILIES)}")
@@ -123,7 +123,7 @@ def _check_widths(ds):
 
 
 def _parse_range(text, what):
-    parts = str(text).split(":")
+    parts = text.split(":")
     if len(parts) != 2:
         raise ConfigError(f"{what} must look like lo:hi, got {text!r}")
     try:
@@ -156,7 +156,7 @@ def cmd_spectrum(args, outdir):
         "command": "spectrum",
         "family": families,
         "d": ds,
-        "brute": bool(args.brute),
+        "brute": args.brute,
         "seed": args.seed,
     }
     by_d = {}
@@ -227,14 +227,10 @@ def cmd_spectrum(args, outdir):
 
 
 def _trace_config(args):
-    """TraceConfig from the flags that were given, each cast to its field's type."""
+    """TraceConfig from the trace flags, which default to its own defaults."""
     try:
-        return TraceConfig(**{
-            f.name: f.type(getattr(args, f.name))
-            for f in dataclasses.fields(TraceConfig)
-            if getattr(args, f.name, None) is not None
-        })
-    except (TypeError, ValueError) as e:
+        return TraceConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(TraceConfig)})
+    except ValueError as e:
         raise ConfigError(str(e))
 
 
@@ -284,15 +280,8 @@ def cmd_arcs(args, outdir):
                 if cell["value"].startswith("error:"):
                     failed = True
                 key = f"{fam}_k{k}_d{d}"
-                meta = {
-                    "value": cell["value"],
-                    "radius": cell.get("radius"),
-                    "runs": cell.get("runs"),
-                    "n_directions": cell.get("n_directions"),
-                    "min_eigenvalue": cell.get("min_eigenvalue"),
-                    "error": cell.get("error"),
-                }
-                runs_payload[key] = meta
+                runs_payload[key] = {name: cell.get(name) for name in (
+                    "value", "radius", "runs", "n_directions", "min_eigenvalue", "error")}
                 arc = cell.get("arc")
                 if arc is not None:
                     _write_json(outdir, f"arc_{key}.json", arc_to_json(arc, cfg))
@@ -316,18 +305,16 @@ def cmd_sphere(args, outdir):
         raise ConfigError("sphere takes a single --d")
     d = ds[0]
     _check_widths([d])
-    k = int(args.k)
+    k = args.k
     if k < 1 or k > d - 4:
         raise ConfigError(f"ambient split k={k} must satisfy 1 <= k <= d-4")
-    if args.mode not in ("min", "max", "both"):
-        raise ConfigError(f"--mode must be min, max or both, got {args.mode!r}")
     lo, hi = _parse_range(args.r_grid, "--r-grid")
     if lo <= 0:
         raise ConfigError("--r-grid radii must be positive")
-    count = int(args.r_count)
+    count = args.r_count
     if count < 2:
         raise ConfigError("--r-count must be at least 2")
-    n_starts = int(args.n_starts)
+    n_starts = args.n_starts
     if n_starts < 8:
         raise ConfigError("--n-starts must be at least 8")
     config = {
@@ -392,7 +379,7 @@ _TOY_CENTERS = {
 
 
 def cmd_toy(args, outdir):
-    names = str(args.center).split(",") if args.center != "all" else ["max", "saddle", "min"]
+    names = args.center.split(",") if args.center != "all" else ["max", "saddle", "min"]
     centers = {}
     for name in names:
         if name in _TOY_CENTERS:
@@ -409,7 +396,7 @@ def cmd_toy(args, outdir):
                 raise ConfigError(f"--center coordinates must be numeric, got {name!r}")
             if not all(math.isfinite(v) for v in centers[name]):
                 raise ConfigError(f"--center coordinates must be finite, got {name!r}")
-    resolution = int(args.resolution)
+    resolution = args.resolution
     if resolution < 64:
         raise ConfigError("--resolution must be at least 64")
     lo, hi = _parse_range(args.extent, "--extent")
@@ -470,7 +457,7 @@ def _build_parser():
                         help="output directory (TANGENCY_LAB_OUT overrides)")
     common.add_argument("--seed", type=int, default=0, help="RNG seed")
     common.add_argument("--config", default=None,
-                        help="JSON file whose entries become flag defaults")
+                        help="JSON file whose entries act as flags given first")
 
     parser = argparse.ArgumentParser(
         prog="tangency-lab",
@@ -491,13 +478,9 @@ def _build_parser():
     p.add_argument("--family", default=",".join(FAMILIES))
     p.add_argument("--d", default="7,20,100")
     p.add_argument("--k", default="1,2,3", help="ambient splits (singleton counts)")
-    p.add_argument("--delta-r", dest="delta_r", type=float, default=None,
-                   help="base step and checkpoint spacing")
-    p.add_argument("--r-min", dest="r_min", type=float, default=None)
-    p.add_argument("--r-max", dest="r_max", type=float, default=None)
-    p.add_argument("--newton-tol", dest="newton_tol", type=float, default=None)
-    p.add_argument("--max-newton-iters", dest="max_newton_iters", type=int, default=None)
-    p.add_argument("--cond-threshold", dest="cond_threshold", type=float, default=None)
+    for f in dataclasses.fields(TraceConfig):
+        p.add_argument("--" + f.name.replace("_", "-"), dest=f.name, type=f.type,
+                       default=f.default, help="default %(default)s")
     p.add_argument("--jobs", type=int, default=0,
                    help="parallel worker count (0 = sequential)")
     p.set_defaults(func=cmd_arcs)
@@ -507,7 +490,7 @@ def _build_parser():
     p.add_argument("--family", default="C0I")
     p.add_argument("--d", default="7")
     p.add_argument("--k", type=int, default=2)
-    p.add_argument("--mode", default="both", help="min, max or both")
+    p.add_argument("--mode", default="both", choices=("min", "max", "both"))
     p.add_argument("--r-grid", dest="r_grid", default="1e-3:1e-1")
     p.add_argument("--r-count", dest="r_count", type=int, default=9)
     p.add_argument("--n-starts", dest="n_starts", type=int, default=8)
@@ -529,31 +512,38 @@ def _build_parser():
     return parser
 
 
-def _apply_config_file(parser, argv):
-    """Use --config entries as defaults; explicit flags still win."""
-    probe = argparse.ArgumentParser(add_help=False)
-    probe.add_argument("--config", default=None)
-    known, _ = probe.parse_known_args(argv)
-    if not known.config:
-        return
+def _config_flags(path):
+    """The entries of a --config file as flags: key: value is
+    --key-with-dashes=value, true the bare switch, false no flag."""
     try:
-        with open(known.config) as fh:
+        with open(path) as fh:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as e:
-        raise ConfigError(f"cannot read config file {known.config!r}: {e}")
+        raise ConfigError(f"cannot read config file {path!r}: {e}")
     if not isinstance(data, dict):
         raise ConfigError("config file must hold a JSON object")
-    for action in parser._subparsers._group_actions:
-        for sp in action.choices.values():
-            sp.set_defaults(**{k: v for k, v in data.items() if k != "config"})
+    flags = []
+    for key, value in data.items():
+        if key == "config" or value is None or isinstance(value, (list, dict)):
+            raise ConfigError(f"config entry {key!r}: {json.dumps(value)}: a config file "
+                              "takes no config key, list, object or null")
+        flag = "--" + key.replace("_", "-")
+        if value is True:
+            flags.append(flag)
+        elif value is not False:
+            flags.append(f"{flag}={value}")
+    return flags
 
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser()
     try:
-        _apply_config_file(parser, argv)
         args = parser.parse_args(argv)
+        if args.config:
+            # right after the subcommand name, argv[0] (the top-level parser
+            # takes nothing else), so that the command line's own flags win
+            args = parser.parse_args(argv[:1] + _config_flags(args.config) + argv[1:])
         outdir = os.environ.get("TANGENCY_LAB_OUT") or args.out
         if os.path.exists(outdir) and not os.path.isdir(outdir):
             raise ConfigError(f"output directory {outdir!r} names a file")

@@ -302,19 +302,16 @@ def continue_arc(grad_fn, grad_hess_fn, center, direction, rayleigh, cfg):
             return samples, "ReachedRmax", r_prev
         while checkpoint <= r_prev:
             checkpoint = next(checkpoints)
-        # the halving ladder: (step, r) for each radius a failed solve
-        # leaves to try next, down to steps of 1e-9; r itself is clipped,
-        # so that a checkpoint is met exactly
+        # the halving ladder: (step, r) for each smaller radius the
+        # halvings reach, down to steps of 1e-9; r itself is clipped, so
+        # that a checkpoint is met exactly
         ladder = []
         step = next_step
-        while True:
+        while not ladder or step >= 1e-9:
             r = min(r_prev + step, checkpoint, cfg.r_max)
-            ladder.append((step, r))
+            if not ladder or r < ladder[-1][1]:
+                ladder.append((step, r))
             step *= 0.5
-            while step >= 1e-9 and min(r_prev + step, checkpoint, cfg.r_max) >= r:
-                step *= 0.5
-            if step < 1e-9:
-                break
         tried = solve_at([ladder[0][1]], samples[-1], reject_far=True)
         if tried[0][2] != "ok" and len(ladder) > 1:
             tried += solve_at([r for _, r in ladder[1:]], samples[-1], reject_far=True)

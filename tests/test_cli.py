@@ -70,8 +70,19 @@ def json_outputs_parse(tmp_path):
     ["arcs", "--family", "C1I", "--d", "7", "--k", "1", "--newton-tol", "0"],
     ["arcs", "--family", "C1I", "--d", "7", "--k", "1", "--cond-threshold", "1"],
     ["spectrum", "--jobs", "2"],
+    # a trailing dict stands for a --config file holding it
+    ["minima", "--family", "C0I", "--d", "7", {"bogus": 1}],
+    ["minima", "--family", "C0I", "--d", "7", {"jobs": 2}],
+    ["minima", "--family", "C0I", "--d", "7", {"func": 1}],
+    ["toy", {"resolution": 96.7}],
+    ["toy", {"center": ["max", "min"]}],
+    ["toy", {"config": "cfg.json"}],
+    ["toy", {"extent": None}],
 ])
 def test_bad_configuration_exits_2(tmp_path, args):
+    if isinstance(args[-1], dict):
+        (tmp_path / "cfg.json").write_text(json.dumps(args[-1]))
+        args = args[:-1] + ["--config", "cfg.json"]
     if "--out" not in args:
         args = args + ["--out", "o"]
     res = run_cli(args, tmp_path)
@@ -374,3 +385,24 @@ def test_config_file_defaults_and_precedence(tmp_path):
     embedded = json.loads(line[len("# config: "):])
     assert embedded["resolution"] == 128
     assert embedded["center"] == ["saddle"]
+
+
+@pytest.mark.parametrize("settings, flags", [
+    ({"center": "all", "resolution": 96, "extent": "-1.5:1.5"},
+     ["toy", "--center", "all", "--resolution", "96", "--extent=-1.5:1.5"]),
+    ({"family": "C1I", "d": 7, "k": 1, "delta_r": 0.004},
+     ["arcs", "--family", "C1I", "--d", "7", "--k", "1", "--delta-r", "0.004"]),
+    ({"family": "C0I", "d": 7, "brute": True, "seed": 3},
+     ["spectrum", "--family", "C0I", "--d", "7", "--brute", "--seed", "3"]),
+])
+def test_config_entries_write_what_their_flags_write(tmp_path, settings, flags):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(settings))
+    by_config = run_cli([flags[0], "--config", str(cfg), "--out", "c"], tmp_path)
+    by_flags = run_cli(flags + ["--out", "f"], tmp_path)
+    assert by_config.returncode == by_flags.returncode == 0, by_config.stderr
+    assert by_config.stdout == by_flags.stdout
+    files = sorted(os.listdir(tmp_path / "f"))
+    assert sorted(os.listdir(tmp_path / "c")) == files
+    for name in files:
+        assert (tmp_path / "c" / name).read_bytes() == (tmp_path / "f" / name).read_bytes(), name
