@@ -138,7 +138,13 @@ def chart_hessian(chart, xi):
     return chart_point(chart, xi).gradient_hessian()[1]
 
 
-def refine_critical(chart, xi0, tol=1e-11, max_iter=50):
+#: refine_critical stops at this chart-gradient norm, or fails after
+#: this many Newton steps
+_REFINE_TOL = 1e-11
+_REFINE_MAX_ITER = 50
+
+
+def refine_critical(chart, xi0):
     """Newton-polish a chart seed to a critical point of the restricted loss.
 
     Each step solves with the exact chart Hessian; an iterate's gradient,
@@ -152,8 +158,8 @@ def refine_critical(chart, xi0, tol=1e-11, max_iter=50):
     g = point.gradient()
     res = np.linalg.norm(g)
     stall = 0
-    for _ in range(max_iter):
-        if res <= tol:
+    for _ in range(_REFINE_MAX_ITER):
+        if res <= _REFINE_TOL:
             break
         J = point.gradient_hessian()[1]
         if np.linalg.cond(J) > 1e14:
@@ -166,8 +172,8 @@ def refine_critical(chart, xi0, tol=1e-11, max_iter=50):
         res = new_res
         if stall >= 5:
             raise NewtonDiverged(f"residual stalled at {res:.3e}")
-    if res > tol:
-        raise NewtonDiverged(f"residual {res:.3e} above tolerance after {max_iter} iterations")
+    if res > _REFINE_TOL:
+        raise NewtonDiverged(f"residual {res:.3e} above tolerance after {_REFINE_MAX_ITER} iterations")
 
     type_label = _type_label(chart, xi)
     p = chart.d - chart.group.blocks[0]

@@ -10,6 +10,7 @@ outputs are kept).
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -96,45 +97,70 @@ def _write_csv(outdir, name, config, columns, rows):
     return _write(outdir, name, _csv_header(config) + "\n".join(lines) + "\n")
 
 
-def _parse_int_list(text, what):
-    try:
-        vals = [int(x) for x in text.split(",") if x != ""]
-    except ValueError:
-        raise ConfigError(f"{what} must be a comma separated integer list, got {text!r}")
-    if not vals:
-        raise ConfigError(f"{what} list is empty")
-    return vals
+# ------------------------------------------------------------- flag types
+# Each parses and range-checks one flag's text; a ValueError becomes
+# argparse's message and exit 2. They do string work only, as they run
+# while the command line is parsed.
 
 
-def _parse_families(text):
-    fams = [f for f in text.split(",") if f != ""]
-    for f in fams:
-        if f not in FAMILIES:
-            raise ConfigError(f"unknown family {f!r}; choose from {', '.join(FAMILIES)}")
-    if not fams:
-        raise ConfigError("family list is empty")
-    return fams
+def _flag_type(what):
+    """An argparse type from fn, whose ValueError reads 'must be <what>'."""
+    def wrap(fn):
+        def parse(text):
+            try:
+                return fn(text)
+            except ValueError:
+                raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}") from None
+        return parse
+    return wrap
 
 
-def _check_widths(ds):
-    for d in ds:
-        if d < MIN_D:
-            raise ConfigError(f"width d={d} is below the supported minimum {MIN_D}")
+def _require(ok):
+    if not ok:
+        raise ValueError
 
 
-def _parse_range(text, what):
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise ConfigError(f"{what} must look like lo:hi, got {text!r}")
-    try:
-        lo, hi = float(parts[0]), float(parts[1])
-    except ValueError:
-        raise ConfigError(f"{what} must be numeric, got {text!r}")
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ConfigError(f"{what} bounds must be finite, got {text!r}")
-    if not lo < hi:
-        raise ConfigError(f"{what} must be increasing, got {text!r}")
-    return lo, hi
+def _items(text):
+    return [x for x in text.split(",") if x != ""]
+
+
+@_flag_type(f"a comma list of {', '.join(FAMILIES)}")
+def _families(text):
+    families = _items(text)
+    _require(families and set(families) <= set(FAMILIES))
+    return families
+
+
+def _ints(least):
+    @_flag_type(f"a comma list of integers >= {least}")
+    def parse(text):
+        values = [int(x) for x in _items(text)]
+        _require(values and min(values) >= least)
+        return values
+    return parse
+
+
+def _int(least):
+    @_flag_type(f"an integer >= {least}")
+    def parse(text):
+        value = int(text)
+        _require(value >= least)
+        return value
+    return parse
+
+
+def _pair(text):
+    x, y = map(float, text.split(":"))
+    return x, y
+
+
+def _range(least):
+    @_flag_type(f"lo:hi with {least} < lo < hi < inf")
+    def parse(text):
+        lo, hi = _pair(text)
+        _require(least < lo < hi < math.inf)
+        return lo, hi
+    return parse
 
 
 def _partition_text(group):
@@ -145,13 +171,9 @@ def _partition_text(group):
 
 
 def cmd_spectrum(args, outdir):
-    families = _parse_families(args.family)
-    ds = _parse_int_list(args.d, "--d")
-    _check_widths(ds)
-    if args.brute:
-        for d in ds:
-            if d > 12:
-                raise ConfigError(f"--brute needs d <= 12 for the dense oracle, got {d}")
+    families, ds = args.family, args.d
+    if args.brute and max(ds) > 12:
+        raise ConfigError(f"--brute needs d <= 12 for the dense oracle, got {max(ds)}")
     config = {
         "command": "spectrum",
         "family": families,
@@ -200,22 +222,15 @@ def cmd_spectrum(args, outdir):
             cols.append(fam + "_brute")
     for d, per_fam in sorted(by_d.items()):
         rows = []
-        slots = {}
-        for fam in families:
-            by_label = {}
-            for e in per_fam[fam]["entries"]:
-                by_label.setdefault(e["label"], []).append(e)
-            slots[fam] = by_label
         for label in ("t", "s", "x", "y"):
-            n = max(len(slots[f].get(label, [])) for f in families)
-            for k in range(n):
-                row = [label, k + 1]
-                for fam in families:
-                    es = slots[fam].get(label, [])
-                    if k < len(es):
-                        row += [es[k]["eigenvalue"], es[k]["multiplicity"], es[k]["absdiff"]]
-                    else:
-                        row += ["", "", ""]
+            # slot k of a label: each family's k-th entry with that label
+            slots = itertools.zip_longest(*(
+                [e for e in per_fam[fam]["entries"] if e["label"] == label] for fam in families))
+            for slot, entries in enumerate(slots, 1):
+                row = [label, slot]
+                for fam, e in zip(families, entries):
+                    row += ["", "", ""] if e is None else [
+                        e["eigenvalue"], e["multiplicity"], e["absdiff"]]
                     if args.brute:
                         row.append(per_fam[fam]["brute_max_absdiff"])
                 rows.append(row)
@@ -235,15 +250,9 @@ def _trace_config(args):
 
 
 def cmd_arcs(args, outdir):
-    families = _parse_families(args.family)
-    ds = _parse_int_list(args.d, "--d")
-    ks = _parse_int_list(args.k, "--k")
-    _check_widths(ds)
-    for k in ks:
-        if k < 1 or k > min(ds) - 4:
-            raise ConfigError(f"ambient split k={k} must satisfy 1 <= k <= d-4")
-    if args.jobs < 0:
-        raise ConfigError(f"--jobs must be at least 0, got {args.jobs}")
+    families, ds, ks = args.family, args.d, args.k
+    if max(ks) > min(ds) - 4:
+        raise ConfigError(f"ambient split k={max(ks)} must satisfy k <= d-4 for d={min(ds)}")
     cfg = _trace_config(args)
     config = {
         "command": "arcs",
@@ -296,36 +305,18 @@ def cmd_arcs(args, outdir):
 
 
 def cmd_sphere(args, outdir):
-    families = _parse_families(args.family)
-    if len(families) != 1:
-        raise ConfigError("sphere takes a single --family")
-    family = families[0]
-    ds = _parse_int_list(args.d, "--d")
-    if len(ds) != 1:
-        raise ConfigError("sphere takes a single --d")
-    d = ds[0]
-    _check_widths([d])
-    k = args.k
-    if k < 1 or k > d - 4:
-        raise ConfigError(f"ambient split k={k} must satisfy 1 <= k <= d-4")
-    lo, hi = _parse_range(args.r_grid, "--r-grid")
-    if lo <= 0:
-        raise ConfigError("--r-grid radii must be positive")
-    count = args.r_count
-    if count < 2:
-        raise ConfigError("--r-count must be at least 2")
-    n_starts = args.n_starts
-    if n_starts < 8:
-        raise ConfigError("--n-starts must be at least 8")
+    family, d, k = args.family, args.d, args.k
+    if k > d - 4:
+        raise ConfigError(f"ambient split k={k} must satisfy k <= d-4 for d={d}")
     config = {
         "command": "sphere",
         "family": family,
         "d": d,
         "k": k,
         "mode": args.mode,
-        "r_grid": [lo, hi],
-        "r_count": count,
-        "n_starts": n_starts,
+        "r_grid": list(args.r_grid),
+        "r_count": args.r_count,
+        "n_starts": args.n_starts,
         "seed": args.seed,
     }
     chart = build_chart(d, YoungPartitionGroup((d - k,) + (1,) * k))
@@ -333,7 +324,7 @@ def cmd_sphere(args, outdir):
     center = transfer(rec.chart, rec.xi, chart)
     # the minimum's fixed coordinates: the singletons of its chart
     special = range(rec.chart.group.blocks[0], d)
-    radii = np.geomspace(lo, hi, count)
+    radii = np.geomspace(*args.r_grid, args.r_count)
 
     def describe(xi):
         disp = xi - center
@@ -347,7 +338,8 @@ def cmd_sphere(args, outdir):
 
     modes = ("min", "max") if args.mode == "both" else (args.mode,)
     problems = [(float(r), mode) for r in radii for mode in modes]
-    results = iter(sphere_extremize(chart, rec, problems, n_starts=n_starts, seed=args.seed))
+    results = iter(sphere_extremize(chart, rec, problems, n_starts=args.n_starts,
+                                    seed=args.seed))
     rows = []
     for r in radii:
         row = {"r": float(r), "loss_center": rec.loss_value}
@@ -378,39 +370,32 @@ _TOY_CENTERS = {
 }
 
 
+def _center(name):
+    if name in _TOY_CENTERS:
+        return _TOY_CENTERS[name]
+    x, y = _pair(name)
+    _require(math.isfinite(x) and math.isfinite(y))
+    return x, y
+
+
+@_flag_type("max, saddle, min, all, finite x:y or a comma list of them")
+def _centers(text):
+    return {name: _center(name) for name in (_TOY_CENTERS if text == "all" else text.split(","))}
+
+
 def cmd_toy(args, outdir):
-    names = args.center.split(",") if args.center != "all" else ["max", "saddle", "min"]
-    centers = {}
-    for name in names:
-        if name in _TOY_CENTERS:
-            centers[name] = _TOY_CENTERS[name]
-        else:
-            parts = name.split(":")
-            if len(parts) != 2:
-                raise ConfigError(
-                    f"--center must be max, saddle, min, all or x:y, got {name!r}"
-                )
-            try:
-                centers[name] = (float(parts[0]), float(parts[1]))
-            except ValueError:
-                raise ConfigError(f"--center coordinates must be numeric, got {name!r}")
-            if not all(math.isfinite(v) for v in centers[name]):
-                raise ConfigError(f"--center coordinates must be finite, got {name!r}")
-    resolution = args.resolution
-    if resolution < 64:
-        raise ConfigError("--resolution must be at least 64")
-    lo, hi = _parse_range(args.extent, "--extent")
+    centers = args.center
     config = {
         "command": "toy",
         "center": sorted(centers),
-        "resolution": resolution,
-        "extent": [lo, hi],
+        "resolution": args.resolution,
+        "extent": list(args.extent),
         "seed": args.seed,
     }
     clouds = {}
     for name in sorted(centers):
-        clouds[name] = sample_tangency_set(centers[name], resolution=resolution,
-                                           extent=(lo, hi))
+        clouds[name] = sample_tangency_set(centers[name], resolution=args.resolution,
+                                           extent=args.extent)
     text = _csv_header(config) + points_to_csv(clouds)
     _write(outdir, "toy_points.csv", text)
     return 0
@@ -420,9 +405,7 @@ def cmd_toy(args, outdir):
 
 
 def cmd_minima(args, outdir):
-    families = _parse_families(args.family)
-    ds = _parse_int_list(args.d, "--d")
-    _check_widths(ds)
+    families, ds = args.family, args.d
     config = {"command": "minima", "family": families, "d": ds, "seed": args.seed}
     rows = []
     for d in sorted(ds):
@@ -467,54 +450,56 @@ def _build_parser():
 
     p = sub.add_parser("spectrum", parents=[common],
                        help="Hessian spectra with series predictions")
-    p.add_argument("--family", default=",".join(FAMILIES))
-    p.add_argument("--d", default="7,20,100")
+    p.add_argument("--family", type=_families, default=",".join(FAMILIES))
+    p.add_argument("--d", type=_ints(MIN_D), default="7,20,100")
     p.add_argument("--brute", action="store_true",
                    help="add the dense-oracle agreement column (d <= 12)")
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("arcs", parents=[common],
                        help="terminal radii of minimal-eigenvalue arcs")
-    p.add_argument("--family", default=",".join(FAMILIES))
-    p.add_argument("--d", default="7,20,100")
-    p.add_argument("--k", default="1,2,3", help="ambient splits (singleton counts)")
+    p.add_argument("--family", type=_families, default=",".join(FAMILIES))
+    p.add_argument("--d", type=_ints(MIN_D), default="7,20,100")
+    p.add_argument("--k", type=_ints(1), default="1,2,3",
+                   help="ambient splits (singleton counts)")
     for f in dataclasses.fields(TraceConfig):
         p.add_argument("--" + f.name.replace("_", "-"), dest=f.name, type=f.type,
                        default=f.default, help="default %(default)s")
-    p.add_argument("--jobs", type=int, default=0,
+    p.add_argument("--jobs", type=_int(0), default=0,
                    help="parallel worker count (0 = sequential)")
     p.set_defaults(func=cmd_arcs)
 
     p = sub.add_parser("sphere", parents=[common],
                        help="sphere-restricted extremal loss profiles")
-    p.add_argument("--family", default="C0I")
-    p.add_argument("--d", default="7")
-    p.add_argument("--k", type=int, default=2)
+    p.add_argument("--family", default="C0I", choices=FAMILIES)
+    p.add_argument("--d", type=_int(MIN_D), default=7)
+    p.add_argument("--k", type=_int(1), default=2)
     p.add_argument("--mode", default="both", choices=("min", "max", "both"))
-    p.add_argument("--r-grid", dest="r_grid", default="1e-3:1e-1")
-    p.add_argument("--r-count", dest="r_count", type=int, default=9)
-    p.add_argument("--n-starts", dest="n_starts", type=int, default=8)
+    p.add_argument("--r-grid", dest="r_grid", type=_range(0), default="1e-3:1e-1")
+    p.add_argument("--r-count", dest="r_count", type=_int(2), default=9)
+    p.add_argument("--n-starts", dest="n_starts", type=_int(8), default=8)
     p.set_defaults(func=cmd_sphere)
 
     p = sub.add_parser("toy", parents=[common],
                        help="planar tangency point clouds")
-    p.add_argument("--center", default="max",
+    p.add_argument("--center", type=_centers, default="max",
                    help="max, saddle, min, all, x:y, or a comma list")
-    p.add_argument("--resolution", type=int, default=512)
-    p.add_argument("--extent", default="-2:2")
+    p.add_argument("--resolution", type=_int(64), default=512)
+    p.add_argument("--extent", type=_range(-math.inf), default="-2:2")
     p.set_defaults(func=cmd_toy)
 
     p = sub.add_parser("minima", parents=[common],
                        help="refined minima with loss predictions")
-    p.add_argument("--family", default=",".join(FAMILIES))
-    p.add_argument("--d", default="7,20,100")
+    p.add_argument("--family", type=_families, default=",".join(FAMILIES))
+    p.add_argument("--d", type=_ints(MIN_D), default="7,20,100")
     p.set_defaults(func=cmd_minima)
-    return parser
+    return parser, sub.choices
 
 
-def _config_flags(path):
-    """The entries of a --config file as flags: key: value is
-    --key-with-dashes=value, true the bare switch, false no flag."""
+def _config_flags(path, command):
+    """The entries of a --config file as flags of the subcommand parser
+    `command`: key: value is --key-with-dashes=value, true the bare
+    switch, false no flag (and refused unless it names a switch)."""
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -528,22 +513,24 @@ def _config_flags(path):
             raise ConfigError(f"config entry {key!r}: {json.dumps(value)}: a config file "
                               "takes no config key, list, object or null")
         flag = "--" + key.replace("_", "-")
-        if value is True:
-            flags.append(flag)
-        elif value is not False:
-            flags.append(f"{flag}={value}")
+        if value is False:
+            if command.get_default(key) is not False:
+                raise ConfigError(f"config entry {key!r}: false: not a switch of this subcommand")
+        else:
+            flags.append(flag if value is True else f"{flag}={value}")
     return flags
 
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = _build_parser()
+    parser, commands = _build_parser()
     try:
         args = parser.parse_args(argv)
         if args.config:
             # right after the subcommand name, argv[0] (the top-level parser
             # takes nothing else), so that the command line's own flags win
-            args = parser.parse_args(argv[:1] + _config_flags(args.config) + argv[1:])
+            flags = _config_flags(args.config, commands[args.command])
+            args = parser.parse_args(argv[:1] + flags + argv[1:])
         outdir = os.environ.get("TANGENCY_LAB_OUT") or args.out
         if os.path.exists(outdir) and not os.path.isdir(outdir):
             raise ConfigError(f"output directory {outdir!r} names a file")

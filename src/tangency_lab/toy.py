@@ -81,14 +81,13 @@ def h(p):
     return x**4 + x**2 * y**2 + y**4 - 2.0 * x**2 - 2.0 * y**2
 
 
+def _grad(x, y):
+    """(gx, gy) of grad h at scalars or broadcast arrays x, y."""
+    return 4.0 * x**3 + 2.0 * x * y**2 - 4.0 * x, 2.0 * x**2 * y + 4.0 * y**3 - 4.0 * y
+
+
 def grad_h(p):
-    x, y = _xy(p)
-    return np.array(
-        [
-            4.0 * x**3 + 2.0 * x * y**2 - 4.0 * x,
-            2.0 * x**2 * y + 4.0 * y**3 - 4.0 * y,
-        ]
-    )
+    return np.array(_grad(*_xy(p)))
 
 
 def hess_h(p):
@@ -113,16 +112,15 @@ def tangency_residual(c, p):
     dx, dy = px - cx, py - cy
     if dx == 0.0 and dy == 0.0:
         raise CoincidentPoint("tangency residual is undefined at the center itself")
-    g = grad_h((px, py))
-    return float(g[0] * dy - g[1] * dx)
+    gx, gy = _grad(px, py)
+    return float(gx * dy - gy * dx)
 
 
 def _grid_residual(c, xs, ys):
     cx, cy = _xy(c)
     # a column against a row, so no full coordinate grid is stored
     X, Y = xs[:, None], ys[None, :]
-    gx = 4.0 * X**3 + 2.0 * X * Y**2 - 4.0 * X
-    gy = 2.0 * X**2 * Y + 4.0 * Y**3 - 4.0 * Y
+    gx, gy = _grad(X, Y)
     return gx * (Y - cy) - gy * (X - cx)
 
 

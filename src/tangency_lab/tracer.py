@@ -646,7 +646,11 @@ def sphere_extremize(chart, center, problems, n_starts=8, seed=0):
     return results
 
 
-def minimal_eig_directions(chart, H, cluster_tol=1e-5):
+#: relative width of the minimal eigenvalue cluster
+_CLUSTER_TOL = 1e-5
+
+
+def minimal_eig_directions(chart, H):
     """Canonical unit directions spanning the minimal eigenvalue cluster.
 
     A separated minimal eigenvalue yields its eigenvector alone. When the
@@ -660,7 +664,7 @@ def minimal_eig_directions(chart, H, cluster_tol=1e-5):
     """
     evals, evecs = np.linalg.eigh(H)
     lam0 = float(evals[0])
-    m = int(np.sum(evals <= evals[0] + cluster_tol * max(1.0, abs(lam0))))
+    m = int(np.sum(evals <= evals[0] + _CLUSTER_TOL * max(1.0, abs(lam0))))
     E = evecs[:, :m]
     if m == 1:
         return [E[:, 0]], lam0

@@ -1,5 +1,6 @@
 import concurrent.futures
 import dataclasses
+import importlib.util
 import json
 import os
 import subprocess
@@ -17,7 +18,8 @@ from tangency_lab.tracer import TraceConfig
 # installed or not
 PACKAGE_ROOT = os.path.dirname(os.path.dirname(
     os.path.abspath(tangency_lab.__file__)))
-SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SCRIPTS = os.path.join(ROOT, "scripts")
 
 
 def run_cli(args, cwd, env_extra=None, timeout=600, prog=("-m", "tangency_lab.cli")):
@@ -78,6 +80,12 @@ def json_outputs_parse(tmp_path):
     ["toy", {"center": ["max", "min"]}],
     ["toy", {"config": "cfg.json"}],
     ["toy", {"extent": None}],
+    # false leaves a switch off, and names nothing else
+    ["toy", {"bogus": False}],
+    ["toy", {"resolution": False}],
+    ["minima", "--family", "C0I", "--d", "7", {"brute": False}],
+    ["sphere", "--family", "C0I,C1I"],
+    ["sphere", "--d", "7,20"],
 ])
 def test_bad_configuration_exits_2(tmp_path, args):
     if isinstance(args[-1], dict):
@@ -358,6 +366,19 @@ def test_count_scripts_run(tmp_path, script, args, keys):
         assert key in report
 
 
+def test_traced_names_resolve():
+    # perfbench/child.py wraps these functions by name in a traced run; a
+    # rename or move of one must fail here, not only in the benchmark
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_child", os.path.join(ROOT, "perfbench", "child.py"))
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    for mod_name, names in child.TRACED.items():
+        module = importlib.import_module(f"tangency_lab.{mod_name}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"{mod_name}.{name}"
+
+
 # ------------------------------------------------------------ env + config
 
 
@@ -394,6 +415,8 @@ def test_config_file_defaults_and_precedence(tmp_path):
      ["arcs", "--family", "C1I", "--d", "7", "--k", "1", "--delta-r", "0.004"]),
     ({"family": "C0I", "d": 7, "brute": True, "seed": 3},
      ["spectrum", "--family", "C0I", "--d", "7", "--brute", "--seed", "3"]),
+    ({"family": "C0I", "d": 7, "brute": False},
+     ["spectrum", "--family", "C0I", "--d", "7"]),
 ])
 def test_config_entries_write_what_their_flags_write(tmp_path, settings, flags):
     cfg = tmp_path / "cfg.json"
