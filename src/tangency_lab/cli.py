@@ -1,10 +1,13 @@
 """Command line front end: regenerate tables and figure data.
 
 Subcommands write JSON records and CSV tables into an output directory.
-Every file embeds the numerically relevant part of its run
-configuration, floats are serialized at 17 significant digits, and
-reruns with identical configuration are byte-identical. Exit codes:
-0 success, 2 invalid configuration, 3 numerical failure (partial
+A record embeds its run's configuration (`_run_config`) as its "config"
+field, a table as its `# config:` first line. Two files do not: an
+`arc_*.csv` profile, whose trace configuration is in the `arc_*.json`
+beside it, and `error.json`. Floats are serialized at 17 significant
+digits, and reruns with identical configuration are byte-identical.
+`main` returns the exit code, argparse's own included: 0 success (and
+`--help`), 2 invalid configuration, 3 numerical failure (partial
 outputs are kept).
 """
 
@@ -167,6 +170,16 @@ def _partition_text(group):
     return "+".join(str(b) for b in group.blocks)
 
 
+#: the parsed values a config block leaves out: where and how a run goes,
+#: not what it computes, and the trace flags, which `arcs` nests
+_UNECHOED = {"out", "config", "func", "jobs", *(f.name for f in dataclasses.fields(TraceConfig))}
+
+
+def _run_config(args, **extra):
+    """The config block a run's outputs embed: its parsed flags, with `extra`."""
+    return {k: v for k, v in vars(args).items() if k not in _UNECHOED} | extra
+
+
 # ---------------------------------------------------------------- spectrum
 
 
@@ -174,13 +187,7 @@ def cmd_spectrum(args, outdir):
     families, ds = args.family, args.d
     if args.brute and max(ds) > 12:
         raise ConfigError(f"--brute needs d <= 12 for the dense oracle, got {max(ds)}")
-    config = {
-        "command": "spectrum",
-        "family": families,
-        "d": ds,
-        "brute": args.brute,
-        "seed": args.seed,
-    }
+    config = _run_config(args)
     by_d = {}
     for d in ds:
         for fam in families:
@@ -254,14 +261,7 @@ def cmd_arcs(args, outdir):
     if max(ks) > min(ds) - 4:
         raise ConfigError(f"ambient split k={max(ks)} must satisfy k <= d-4 for d={min(ds)}")
     cfg = _trace_config(args)
-    config = {
-        "command": "arcs",
-        "family": families,
-        "d": ds,
-        "k": ks,
-        "trace": dataclasses.asdict(cfg),
-        "seed": args.seed,
-    }
+    config = _run_config(args, trace=dataclasses.asdict(cfg))
     keys = [(fam, k, d) for d in sorted(ds) for k in sorted(ks) for fam in families]
     # arc_radius_table's arguments, one iterable each
     columns = [*zip(*keys), [cfg] * len(keys)]
@@ -308,17 +308,7 @@ def cmd_sphere(args, outdir):
     family, d, k = args.family, args.d, args.k
     if k > d - 4:
         raise ConfigError(f"ambient split k={k} must satisfy k <= d-4 for d={d}")
-    config = {
-        "command": "sphere",
-        "family": family,
-        "d": d,
-        "k": k,
-        "mode": args.mode,
-        "r_grid": list(args.r_grid),
-        "r_count": args.r_count,
-        "n_starts": args.n_starts,
-        "seed": args.seed,
-    }
+    config = _run_config(args)
     chart = build_chart(d, YoungPartitionGroup((d - k,) + (1,) * k))
     rec = refined_minimum(family, d)
     center = transfer(rec.chart, rec.xi, chart)
@@ -385,13 +375,7 @@ def _centers(text):
 
 def cmd_toy(args, outdir):
     centers = args.center
-    config = {
-        "command": "toy",
-        "center": sorted(centers),
-        "resolution": args.resolution,
-        "extent": list(args.extent),
-        "seed": args.seed,
-    }
+    config = _run_config(args, center=sorted(centers))
     clouds = {}
     for name in sorted(centers):
         clouds[name] = sample_tangency_set(centers[name], resolution=args.resolution,
@@ -406,7 +390,7 @@ def cmd_toy(args, outdir):
 
 def cmd_minima(args, outdir):
     families, ds = args.family, args.d
-    config = {"command": "minima", "family": families, "d": ds, "seed": args.seed}
+    config = _run_config(args)
     rows = []
     for d in sorted(ds):
         for fam in families:
@@ -535,6 +519,9 @@ def main(argv=None):
         if os.path.exists(outdir) and not os.path.isdir(outdir):
             raise ConfigError(f"output directory {outdir!r} names a file")
         return args.func(args, outdir)
+    except SystemExit as e:
+        # argparse's own exit: 2 after a bad flag or value, 0 after --help
+        return e.code
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -17,6 +17,7 @@ stack, from one evaluation of the orbit terms).
 import numpy as np
 
 from .errors import DegenerateVector, DimensionMismatch, NearParallelRows
+from .stats import counts
 
 EPS_NORM = 1e-12
 # Distinct antiparallel rows sit on the angle-gradient singularity; the
@@ -253,6 +254,8 @@ def _orbit_terms(layout, xi):
         raise DimensionMismatch(
             f"expected {layout.sqrt_sizes.shape[0]} coordinates, got shape {xi.shape}"
         )
+    counts["orbit.stacked_calls" if xi.ndim == 2 else "orbit.single_calls"] += 1
+    counts["orbit.rows"] += len(xi) if xi.ndim == 2 else 1
     if not np.isfinite(xi).all():
         raise DegenerateVector("chart coordinates are not finite")
     values = xi / layout.sqrt_sizes
@@ -363,6 +366,7 @@ class OrbitPoint:
         the result is symmetrized.
         """
         if self._grad_hess is None:
+            counts["orbit.hessian_rows"] += self._terms[2][..., 0].size  # one per point
             g, sin_ww, sin_wt, a_minus_b, pi_ww = self._gradient_terms()
             layout = self.layout
             WC, _, _, nC, theta_ww, theta_wt = self._terms

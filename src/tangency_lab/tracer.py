@@ -25,6 +25,7 @@ from .errors import (
     NoConvergence,
     TangencyLabError,
 )
+from .stats import counts
 from .symmetry import (
     YoungPartitionGroup,
     build_chart,
@@ -146,6 +147,7 @@ def _newton_solve(grad_fn, grad_hess_fn, center, xi, lam, r, cfg):
     one of 'singular', 'diverged'.
     """
     n = center.size
+    counts["newton.rows"] += len(xi)
     rows = list(range(len(xi)))
     lam, r = np.full(len(rows), lam), np.full(len(rows), r)
     rr = r * r
@@ -154,9 +156,12 @@ def _newton_solve(grad_fn, grad_hess_fn, center, xi, lam, r, cfg):
     eye = np.eye(n)
     grads = lambda X: (grad_fn(X),)
     for it in range(cfg.max_newton_iters):
+        counts["newton.gradients"] += len(xi)
         if it == 0:
+            counts["newton.first_calls"] += 1
             G, H = _stacked(grad_hess_fn, xi, (n,), (n, n))
         else:
+            counts["newton.later_calls"] += 1
             G, = _stacked(grads, xi, (n,))
         U = xi - center
         shift = 2.0 * lam
@@ -185,6 +190,7 @@ def _newton_solve(grad_fn, grad_hess_fn, center, xi, lam, r, cfg):
         J[:, :n, n] = -2.0 * U
         J[:, n, :n] = 2.0 * U
         keep = []
+        counts["newton.svds"] += 1
         for i, (top, low) in enumerate(np.linalg.svd(J, compute_uv=False)[:, ::n].tolist()):
             # the 2-norm condition number, as np.linalg.cond computes it; a
             # zero singular value is an infinite condition number
@@ -289,6 +295,7 @@ def continue_arc(grad_fn, grad_hess_fn, center, direction, rayleigh, cfg):
     [(xi, lam, status)] = _newton_solve(grad_fn, grad_hess_fn, center,
                                         (center + cfg.r_min * direction)[None],
                                         0.5 * rayleigh, cfg.r_min, cfg)
+    counts["arc." + status] += 1
     if status != "ok":
         raise NoConvergence(f"no tangency solution at r_min ({status})")
     samples = [(cfg.r_min, xi.copy(), float(lam))]
@@ -316,6 +323,7 @@ def continue_arc(grad_fn, grad_hess_fn, center, direction, rayleigh, cfg):
         if tried[0][2] != "ok" and len(ladder) > 1:
             tried += solve_at([r for _, r in ladder[1:]], samples[-1], reject_far=True)
         used = next((i for i, (_, _, st) in enumerate(tried) if st == "ok"), len(tried) - 1)
+        counts.update("arc." + st for _, _, st in tried[:used + 1])
         xi, lam, status = tried[used]
         if status != "ok":
             return samples, _FAIL_TAG[status], r_prev
@@ -332,6 +340,7 @@ def continue_arc(grad_fn, grad_hess_fn, center, direction, rayleigh, cfg):
                     break
                 rm = 0.5 * (lo[0] + hi[0])
                 [(xm, lm, st)] = solve_at([rm], lo)
+                counts["arc." + st] += 1
                 if st != "ok":
                     break
                 if lm * lo[2] > 0:
@@ -521,6 +530,7 @@ def _sphere_descents(chart, center, X, r, sign, floor):
         if not models:
             break
         mus, Vs = np.linalg.eigh(np.array([m[-1] for m in models]))
+        counts.update({"sphere.rounds": 1, "sphere.steps": len(models)})
         trials = []
         for (i, g, u, Q, _), mu, V in zip(models, mus, Vs):
             QV = Q @ V
@@ -581,6 +591,7 @@ def sphere_extremize(chart, center, problems, n_starts=8, seed=0):
     are solved: the error of its first start in start order that raised,
     as if the starts had descended one after another.
     """
+    counts["sphere.calls"] += 1
     problems = list(problems)
     for r, mode in problems:
         if mode not in ("min", "max"):

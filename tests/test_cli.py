@@ -100,6 +100,25 @@ def test_bad_configuration_exits_2(tmp_path, args):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("args, config, code", [
+    (["toy", "--resolution", "32"], None, 2),
+    (["toy"], {"resolution": 96.7}, 2),
+    (["toy", "--help"], None, 0),
+])
+def test_main_returns_argparse_exit_code_in_process(tmp_path, monkeypatch, capsys, args, config,
+                                                    code):
+    # argparse exits on its own; called in process, `main` returns its code
+    monkeypatch.delenv("TANGENCY_LAB_OUT", raising=False)
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        args = args + ["--config", str(tmp_path / "cfg.json")]
+    assert cli.main(args + ["--out", str(tmp_path / "o")]) == code
+    assert not (tmp_path / "o").exists()
+    printed = capsys.readouterr()
+    # argparse's message, or the help
+    assert (printed.err if code else printed.out).strip()
+
+
 # ------------------------------------------------------------------- toy
 
 
@@ -351,19 +370,27 @@ def test_sphere_modes_do_not_couple(tmp_path):
 
 @pytest.mark.parametrize("script, args, keys", [
     ("newton_counts.py", ["--family", "C1I", "--d", "7", "--k", "1", "--delta-r", "0.004"],
-     ("value", "runs", "lockstep_rounds", "row_solves")),
+     {"value": "1.24",
+      "runs": [["StepStalled", pytest.approx(1.3699260033203136, abs=1e-9)],
+               ["StepStalled", pytest.approx(1.2432956627441412, abs=1e-9)]],
+      "winning_arc_samples": 39, "newton_solves": 290,
+      "newton_solves_by_outcome": {"ok": 86, "diverged": 204, "singular": 0},
+      "gradient_calls": 1272, "hessian_or_combined_calls": 118, "lockstep_rounds": 1390,
+      "gradients_evaluated": 4612, "svds": 1287, "row_solves": 781}),
     ("sphere_counts.py", ["--family", "C1II", "--d", "20", "--k", "2", "--r-count", "2"],
-     ("orbit_terms_calls",)),
+     {"exit_code": 0, "orbit_terms_calls": 38, "stacked_calls": 31, "single_point_calls": 7,
+      "rows": 208, "gradient_hessian_rows": 174, "sphere_extremize_calls": 1,
+      "trust_region_iterations": 137, "lockstep_rounds": 23}),
 ])
 def test_count_scripts_run(tmp_path, script, args, keys):
     # the scripts call the package's API from outside it, so a change of
-    # that API shows here
+    # that API shows here; a change of a count updates these pins, those
+    # of test_stats.py and the README together
     res = run_cli(args, tmp_path, prog=(os.path.join(SCRIPTS, script),))
     assert res.returncode == 0, res.stderr
     report = json.loads(res.stdout)
-    assert report.get("exit_code", 0) == 0
-    for key in keys:
-        assert key in report
+    # keys: the printed keys checked, with their values
+    assert {key: report.get(key) for key in keys} == keys
 
 
 def test_traced_names_resolve():
