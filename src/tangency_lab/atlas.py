@@ -6,7 +6,7 @@ pair in the five-parameter chart fixing the first d-1 coordinates. Seeds
 for C0I, C0II and C1I come from a truncated power-series table in 1/d
 shipped with the package; C1II has no trustworthy series (the only
 printed candidate duplicates the C1I one), so it is recovered by Newton
-from structured perturbations of the identity and accepted only when its
+from one perturbation of the identity and accepted only when its
 fingerprints (isotropy, sign type, loss scale) match.
 """
 
@@ -201,39 +201,27 @@ def _series_seed(family, d):
     return chart, orbit_coordinates(chart, values)
 
 
-def _c1ii_probes(d):
-    # identity with row/column d overwritten by a type-I-style pattern:
-    # cross entries near 2/d, last diagonal entry swung to about -1.
-    yield 0.0, 2.0 / d, 2.0 / d, -1.0 + 2.0 / d
-    yield 2.0 / d, 2.0 / d, 2.0 / d, -1.0 + 2.0 / d
-    yield 0.0, 4.0 / d, 4.0 / d, -1.0 + 2.0 / d
-    yield 0.0, 2.0 / d, 2.0 / d, -0.7
-
-
 def _c1ii_seed(d):
     chart = build_chart(d, YoungPartitionGroup((d - 1, 1)))
     target = _c1ii_loss_target(d)
     # the target formula itself truncates at O(1/d^2); widen the relative
     # gate accordingly so the true point is not rejected at moderate d
     gate = max(0.1 * target, 2.5 / d ** 2)
-    for values in _c1ii_probes(d):
-        xi0 = orbit_coordinates(chart, (1.0,) + values)
-        try:
-            rec = refine_critical(chart, xi0)
-        except TangencyLabError:
-            continue
-        if rec.type_label != "II":
-            continue
-        if rec.loss_value <= 1e-8:
-            continue  # fell back to the global minimum
-        if detect_diagonal_isotropy(chart, rec.xi).blocks != (d - 1, 1):
-            continue
-        if d >= 20 and abs(rec.loss_value - target) > gate:
-            continue
-        if d < 20 and not (0.1 * target < rec.loss_value < 5 * target):
-            continue
-        return chart, rec.xi
-    raise NoConvergence(f"no identity perturbation recovered C1II at d={d}")
+    # identity with row/column d overwritten by a type-I-style pattern:
+    # cross entries near 2/d, last diagonal entry swung to about -1.
+    xi0 = orbit_coordinates(chart, (1.0, 0.0, 2.0 / d, 2.0 / d, -1.0 + 2.0 / d))
+    try:
+        rec = refine_critical(chart, xi0)
+    except TangencyLabError:
+        rec = None
+    if (rec is None
+            or rec.type_label != "II"
+            or rec.loss_value <= 1e-8  # fell back to the global minimum
+            or detect_diagonal_isotropy(chart, rec.xi).blocks != (d - 1, 1)
+            or (d >= 20 and abs(rec.loss_value - target) > gate)
+            or (d < 20 and not 0.1 * target < rec.loss_value < 5 * target)):
+        raise NoConvergence(f"no identity perturbation recovered C1II at d={d}")
+    return chart, rec.xi
 
 
 def seed_minimum(family, d):

@@ -71,14 +71,18 @@ def _json_text(obj):
 
 def _write(outdir, name, text):
     """Write one output file, creating the output directory on first use,
-    so that a run refused before its first write leaves none behind."""
+    so that a run refused before its first write leaves none behind. A
+    failed write is a ConfigError; the files written before it are kept."""
     try:
         os.makedirs(outdir, exist_ok=True)
     except OSError as e:
         raise ConfigError(f"cannot create output directory {outdir!r}: {e}")
     path = os.path.join(outdir, name)
-    with open(path, "w") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise ConfigError(f"cannot write {path!r}: {e}")
     return path
 
 
@@ -127,18 +131,24 @@ def _items(text):
     return [x for x in text.split(",") if x != ""]
 
 
-@_flag_type(f"a comma list of {', '.join(FAMILIES)}")
+def _distinct(values):
+    """values, if it holds at least one and none twice."""
+    _require(values and len(set(values)) == len(values))
+    return values
+
+
+@_flag_type(f"a comma list of distinct {', '.join(FAMILIES)}")
 def _families(text):
-    families = _items(text)
-    _require(families and set(families) <= set(FAMILIES))
+    families = _distinct(_items(text))
+    _require(set(families) <= set(FAMILIES))
     return families
 
 
 def _ints(least):
-    @_flag_type(f"a comma list of integers >= {least}")
+    @_flag_type(f"a comma list of distinct integers >= {least}")
     def parse(text):
-        values = [int(x) for x in _items(text)]
-        _require(values and min(values) >= least)
+        values = _distinct([int(x) for x in _items(text)])
+        _require(min(values) >= least)
         return values
     return parse
 
@@ -529,7 +539,7 @@ def main(argv=None):
         report = {"error": type(e).__name__, "message": str(e)}
         try:
             _write_json(outdir, "error.json", report)
-        except (ConfigError, OSError):
+        except ConfigError:
             pass
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 3

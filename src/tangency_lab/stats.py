@@ -1,8 +1,8 @@
 """Work counts of this process, kept where the work happens.
 
-`counts` is one `collections.Counter` per process (the workers of
-`arcs --jobs N` keep their own): clear it before a run and read it
-after, and never rebind it. No output file holds it. Keys:
+`counts` is one `collections.Counter` per process: clear it before a
+run and read it after, and never rebind it. A key that is absent
+counts 0. No output file holds it. Keys:
 
 - `orbit.stacked_calls`, `orbit.single_calls`, `orbit.rows`:
   `kernel._orbit_terms` calls on a (B, n) stack and on one point, and
@@ -19,8 +19,38 @@ after, and never rebind it. No output file holds it. Keys:
 - `sphere.calls`: `sphere_extremize` calls; `sphere.rounds`: their
   lockstep descent rounds, one stacked `eigh` each; `sphere.steps`:
   the trust-region steps solved.
+
+    python -m tangency_lab.stats <subcommand> [flags]
+
+runs one CLI invocation in this process and prints its exit code, wall
+time and counts as one JSON object. Under `arcs --jobs N` with N > 1
+the cells run in worker processes, whose counts are not in it.
 """
 
+import json
+import sys
+import time
 from collections import Counter
 
 counts = Counter()
+
+
+def main(argv=None):
+    """Run `cli.main(argv)` and print its exit code, wall time and counts;
+    return the exit code."""
+    # run as `-m`, this file is also `__main__`, with a counter of its own
+    # that the package never adds to: read the package's
+    from . import cli
+    from .stats import counts
+
+    counts.clear()
+    t0 = time.perf_counter()
+    code = cli.main(argv)
+    wall = time.perf_counter() - t0
+    print(json.dumps({"exit_code": code, "wall_s": round(wall, 3),
+                      "counts": dict(sorted(counts.items()))}, indent=1))
+    return code
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -171,7 +171,7 @@ def test_refined_minimum_is_shared_and_read_only():
 
 
 def test_c1ii_seed_is_already_refined():
-    # the C1II seed is the refined point its probes converged to, so a
+    # the C1II seed is the refined point its probe converged to, so a
     # second refinement changes nothing
     chart, xi0 = seed_minimum("C1II", 8)
     rec = refine_critical(chart, xi0)

@@ -19,7 +19,6 @@ from tangency_lab.tracer import TraceConfig
 PACKAGE_ROOT = os.path.dirname(os.path.dirname(
     os.path.abspath(tangency_lab.__file__)))
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SCRIPTS = os.path.join(ROOT, "scripts")
 
 
 def run_cli(args, cwd, env_extra=None, timeout=600, prog=("-m", "tangency_lab.cli")):
@@ -86,6 +85,13 @@ def json_outputs_parse(tmp_path):
     ["minima", "--family", "C0I", "--d", "7", {"brute": False}],
     ["sphere", "--family", "C0I,C1I"],
     ["sphere", "--d", "7,20"],
+    # a comma list names each entry once
+    ["minima", "--family", "C0I,C0I", "--d", "7"],
+    ["minima", "--family", "C0I", "--d", "7,7"],
+    ["spectrum", "--family", "C0I", "--d", "7,07"],
+    ["arcs", "--family", "C1I,C1I", "--d", "7", "--k", "1"],
+    ["arcs", "--family", "C1I", "--d", "7", "--k", "1,1"],
+    ["minima", "--d", "7", {"family": "C0I,C0I"}],
 ])
 def test_bad_configuration_exits_2(tmp_path, args):
     if isinstance(args[-1], dict):
@@ -98,6 +104,15 @@ def test_bad_configuration_exits_2(tmp_path, args):
     assert res.stderr.strip()
     assert "Traceback" not in res.stderr
     assert not (tmp_path / "o").exists()
+
+
+def test_failed_write_exits_2_and_keeps_earlier_files(tmp_path):
+    (tmp_path / "o" / "minima_table.csv").mkdir(parents=True)
+    res = run_cli(["minima", "--family", "C0I", "--d", "7", "--out", "o"], tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert "cannot write" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert (tmp_path / "o" / "minimum_C0I_d7.json").exists()
 
 
 @pytest.mark.parametrize("args, config, code", [
@@ -365,32 +380,19 @@ def test_sphere_modes_do_not_couple(tmp_path):
             assert [repr(both[c]) for c in ("r",) + cols] == [repr(alone[c]) for c in ("r",) + cols]
 
 
-# --------------------------------------------------------------- scripts
+# ---------------------------------------------------------- stats readout
 
 
-@pytest.mark.parametrize("script, args, keys", [
-    ("newton_counts.py", ["--family", "C1I", "--d", "7", "--k", "1", "--delta-r", "0.004"],
-     {"value": "1.24",
-      "runs": [["StepStalled", pytest.approx(1.3699260033203136, abs=1e-9)],
-               ["StepStalled", pytest.approx(1.2432956627441412, abs=1e-9)]],
-      "winning_arc_samples": 39, "newton_solves": 290,
-      "newton_solves_by_outcome": {"ok": 86, "diverged": 204, "singular": 0},
-      "gradient_calls": 1272, "hessian_or_combined_calls": 118, "lockstep_rounds": 1390,
-      "gradients_evaluated": 4612, "svds": 1287, "row_solves": 781}),
-    ("sphere_counts.py", ["--family", "C1II", "--d", "20", "--k", "2", "--r-count", "2"],
-     {"exit_code": 0, "orbit_terms_calls": 38, "stacked_calls": 31, "single_point_calls": 7,
-      "rows": 208, "gradient_hessian_rows": 174, "sphere_extremize_calls": 1,
-      "trust_region_iterations": 137, "lockstep_rounds": 23}),
-])
-def test_count_scripts_run(tmp_path, script, args, keys):
-    # the scripts call the package's API from outside it, so a change of
-    # that API shows here; a change of a count updates these pins, those
-    # of test_stats.py and the README together
-    res = run_cli(args, tmp_path, prog=(os.path.join(SCRIPTS, script),))
+def test_stats_readout_runs_as_a_module(tmp_path):
+    # under -m the module also runs as `__main__`, whose own counter the
+    # package never adds to: the readout must show the package's counts
+    res = run_cli(["minima", "--family", "C0I", "--d", "7", "--out", "o"], tmp_path,
+                  prog=("-m", "tangency_lab.stats"))
     assert res.returncode == 0, res.stderr
     report = json.loads(res.stdout)
-    # keys: the printed keys checked, with their values
-    assert {key: report.get(key) for key in keys} == keys
+    assert report["exit_code"] == 0
+    assert report["counts"]["orbit.rows"] > 0
+    assert (tmp_path / "o" / "minima_table.csv").exists()
 
 
 def test_traced_names_resolve():
