@@ -24,6 +24,7 @@ import numpy as np
 from .atlas import FAMILIES, MIN_D, predicted_loss, refined_minimum
 from .errors import TangencyLabError
 from .spectrum import brute_spectrum, expand_report, full_spectrum, predicted_spectrum
+from .stats import counts
 from .symmetry import (
     ISOTYPIC_LABELS,
     YoungPartitionGroup,
@@ -266,6 +267,13 @@ def _trace_config(args):
         raise ConfigError(str(e))
 
 
+def _counted_cell(*args):
+    """`arc_radius_table` in a worker process: the cell, and the counts of
+    its work for the parent to add."""
+    counts.clear()
+    return arc_radius_table(*args), counts.copy()
+
+
 def cmd_arcs(args, outdir):
     families, ds, ks = args.family, args.d, args.k
     if max(ks) > min(ds) - 4:
@@ -283,7 +291,10 @@ def cmd_arcs(args, outdir):
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = dict(zip(keys, pool.map(arc_radius_table, *columns)))
+            cells = list(pool.map(_counted_cell, *columns))
+        for _, worked in cells:
+            counts.update(worked)
+        results = dict(zip(keys, (cell for cell, _ in cells)))
     else:
         results = dict(zip(keys, map(arc_radius_table, *columns)))
 

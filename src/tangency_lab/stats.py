@@ -14,8 +14,8 @@ counts 0. No output file holds it. Keys:
   and of gradients after; `newton.gradients`: the rows of the rounds;
   `newton.svds`: the stacked SVDs of its condition tests.
 - `arc.ok`, `arc.diverged`, `arc.singular`: the outcomes of the solves
-  `continue_arc` uses: at r_min, each step's rungs up to the one it
-  takes (a far landing is 'diverged'), and each bisection.
+  each run of `continue_arcs` uses: at r_min, each step's rungs up to
+  the one it takes (a far landing is 'diverged'), and each bisection.
 - `sphere.calls`: `sphere_extremize` calls; `sphere.rounds`: their
   lockstep descent rounds, one stacked `eigh` each; `sphere.steps`:
   the trust-region steps solved.
@@ -24,7 +24,10 @@ counts 0. No output file holds it. Keys:
 
 runs one CLI invocation in this process and prints its exit code, wall
 time and counts as one JSON object. Under `arcs --jobs N` with N > 1
-the cells run in worker processes, whose counts are not in it.
+each worker returns the counts of its cell's work with the cell, and
+they are added in cell order. Each process memoizes the refined minima,
+so when cells share a center the `orbit.*` counts differ from a run
+without workers.
 """
 
 import json

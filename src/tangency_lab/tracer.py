@@ -235,16 +235,31 @@ def _checkpoint_multiples():
         scale *= 10
 
 
-def continue_arc(grad_fn, grad_hess_fn, center, direction, rayleigh, cfg):
-    """Generic Lagrangian continuation from center along a unit direction.
+def _only(ends):
+    # the one start's result, or its error raised
+    [end] = ends
+    if isinstance(end, TangencyLabError):
+        raise end
+    return end
 
-    grad_fn evaluates the objective's gradient and grad_hess_fn its
-    gradient and Hessian together, in the same coordinates as `center`,
-    each at every row of a (B, n) stack of points. Each radius is one
-    chord solve of `_newton_solve`: the gradient and Hessian at the radial
-    guess, then one gradient per iterate, within the budget of
-    cfg.max_newton_iters (`--max-newton-iters`) iterates; a solve whose
-    residual runs away from its start fails early as 'diverged'.
+
+def continue_arc(grad_fn, grad_hess_fn, center, direction, rayleigh, cfg):
+    """`continue_arcs` from one start: (samples, tag, terminal radius), or
+    the run's error raised."""
+    return _only(continue_arcs(grad_fn, grad_hess_fn, center, [(direction, rayleigh)], cfg))
+
+
+def continue_arcs(grad_fn, grad_hess_fn, center, starts, cfg):
+    """Generic Lagrangian continuation from center along unit directions.
+
+    `starts` holds one (direction, rayleigh) pair per run. grad_fn
+    evaluates the objective's gradient and grad_hess_fn its gradient and
+    Hessian together, in the same coordinates as `center`, each at every
+    row of a (B, n) stack of points. Each radius is one chord solve of
+    `_newton_solve`: the gradient and Hessian at the radial guess, then
+    one gradient per iterate, within the budget of cfg.max_newton_iters
+    (`--max-newton-iters`) iterates; a solve whose residual runs away
+    from its start fails early as 'diverged'.
 
     The step is adaptive, with cfg.delta_r the base step (Allgower &
     Georg 2003, ch. 6). The first step is delta_r. A step that its first
@@ -260,14 +275,12 @@ def continue_arc(grad_fn, grad_hess_fn, center, direction, rayleigh, cfg):
     fixed step of delta_r tries, up to rounding. Three consecutive
     samples needing steps below 1e-6 terminate the arc as StepStalled.
 
-    A step's first solve runs alone. When it fails, the rest of its
+    A step's first solve is one request. When it fails, the rest of its
     halving ladder (the radii the halvings would try, in order, down to
-    steps of 1e-9) is solved in one lockstep `_newton_solve`: the halvings
-    all start from the same sample, so none depends on another. The
-    first rung in ladder order that converges without a far landing is
-    taken; when every rung fails, the last rung's failure tags the arc.
-    The samples, tags and radii are those of solving the halvings one
-    after another, to the bit.
+    steps of 1e-9) is the next: the halvings all start from the same
+    sample, so none depends on another. The first rung in ladder order
+    that converges without a far landing is taken; when every rung
+    fails, the last rung's failure tags the arc.
 
     Two degeneracies end an arc before r_max. A fold (no solution beyond
     some radius) exhausts the step halving, leaving StepStalled or the
@@ -276,13 +289,50 @@ def continue_arc(grad_fn, grad_hess_fn, center, direction, rayleigh, cfg):
     adjacent critical point; the crossing is bisected to locate it and
     the arc ends there tagged SingularJacobian, matching how such events
     surface in plain Newton continuation.
+
+    The runs advance together: each keeps one request pending (its r_min
+    solve, a first trial, a ladder or a bisection midpoint), and the rows
+    of all pending requests are solved in one lockstep `_newton_solve`.
+    Its rows are independent, so the samples, tags and radii are those of
+    each run traced alone, solving the halvings one after another, to the
+    bit. Returns, per start, (samples, tag, terminal radius) or the error
+    its run raised.
     """
+    runs = dict(enumerate(_arc_run(center, v, rayleigh, cfg) for v, rayleigh in starts))
+    ends = [None] * len(runs)
+    sent = dict.fromkeys(runs)  # what each live run is sent next
+    while True:
+        requests = {}
+        for i, run in list(runs.items()):
+            try:
+                requests[i] = run.send(sent[i])
+            except StopIteration as stop:
+                ends[i] = stop.value
+                del runs[i]
+            except TangencyLabError as e:
+                ends[i] = e
+                del runs[i]
+        if not requests:
+            return ends
+        stacks = (np.concatenate(parts) for parts in zip(*requests.values()))
+        solved = _newton_solve(grad_fn, grad_hess_fn, center, *stacks, cfg)
+        at = 0
+        for i, (_, _, radii) in requests.items():
+            sent[i] = solved[at:at + len(radii)]
+            at += len(radii)
+
+
+def _arc_run(center, direction, rayleigh, cfg):
+    """One run of `continue_arcs`, as a generator: it yields each request,
+    the guesses (B, n), multipliers (B,) and radii (B,) of its rows, is
+    sent their outcomes, one (xi, lam, status) per row, and returns
+    (samples, tag, terminal radius)."""
     def solve_at(radii, base, reject_far=False):
         # chord solves at the radii from radial guesses off the sample base
         base_r, base_xi, base_lam = base
         radii = np.array(radii)
         guess = center + (radii / base_r)[:, None] * (base_xi - center)
-        solved = _newton_solve(grad_fn, grad_hess_fn, center, guess, base_lam, radii, cfg)
+        solved = yield guess, np.full(len(radii), base_lam), radii
         for i, (xi, _, status) in enumerate(solved):
             # Newton landed on a different solution branch: past a fold the
             # local branch has no point at this radius, so a far landing is
@@ -292,9 +342,8 @@ def continue_arc(grad_fn, grad_hess_fn, center, direction, rayleigh, cfg):
                 solved[i] = (None, None, "diverged")
         return solved
 
-    [(xi, lam, status)] = _newton_solve(grad_fn, grad_hess_fn, center,
-                                        (center + cfg.r_min * direction)[None],
-                                        0.5 * rayleigh, cfg.r_min, cfg)
+    [(xi, lam, status)] = yield ((center + cfg.r_min * direction)[None],
+                                 np.array([0.5 * rayleigh]), np.array([cfg.r_min]))
     counts["arc." + status] += 1
     if status != "ok":
         raise NoConvergence(f"no tangency solution at r_min ({status})")
@@ -319,9 +368,9 @@ def continue_arc(grad_fn, grad_hess_fn, center, direction, rayleigh, cfg):
             if not ladder or r < ladder[-1][1]:
                 ladder.append((step, r))
             step *= 0.5
-        tried = solve_at([ladder[0][1]], samples[-1], reject_far=True)
+        tried = yield from solve_at([ladder[0][1]], samples[-1], reject_far=True)
         if tried[0][2] != "ok" and len(ladder) > 1:
-            tried += solve_at([r for _, r in ladder[1:]], samples[-1], reject_far=True)
+            tried += yield from solve_at([r for _, r in ladder[1:]], samples[-1], reject_far=True)
         used = next((i for i, (_, _, st) in enumerate(tried) if st == "ok"), len(tried) - 1)
         counts.update("arc." + st for _, _, st in tried[:used + 1])
         xi, lam, status = tried[used]
@@ -339,7 +388,7 @@ def continue_arc(grad_fn, grad_hess_fn, center, direction, rayleigh, cfg):
                 if hi[0] - lo[0] <= 1e-9 * max(1.0, hi[0]):
                     break
                 rm = 0.5 * (lo[0] + hi[0])
-                [(xm, lm, st)] = solve_at([rm], lo)
+                [(xm, lm, st)] = yield from solve_at([rm], lo)
                 counts["arc." + st] += 1
                 if st != "ok":
                     break
@@ -361,44 +410,53 @@ def continue_arc(grad_fn, grad_hess_fn, center, direction, rayleigh, cfg):
 
 
 def trace_arc(chart, center, direction, cfg=None):
-    """Trace a tangency arc of the loss from a refined critical point.
+    """`trace_arcs` along one direction: its ArcRecord, or its error raised."""
+    return _only(trace_arcs(chart, center, [direction], cfg))
 
-    `direction` is a unit vector of chart coordinates aligned with an
-    eigenvector of the chart-restricted Hessian at the center (angle
-    tolerance 1e-3): arcs launch only along eigenvector rays, so anything
-    else has no branch to follow.
-    """
-    cfg = cfg or TraceConfig()
+
+def _launch(chart, Hc, direction):
+    # the checked unit direction and its Rayleigh quotient at the center
     v = np.asarray(direction, dtype=float)
     if v.shape != (chart.dim,):
         raise DimensionMismatch(f"expected {chart.dim} chart coordinates, got shape {v.shape}")
-    center_xi = transfer(center.chart, center.xi, chart)
     nv = np.linalg.norm(v)
     if abs(nv - 1.0) > 1e-8:
         raise BadDirection("direction must have unit norm")
     v = v / nv
-    Hc = chart_hessian(chart, center_xi)
     Hv = Hc @ v
     ray = float(v @ Hv)
     resid = np.linalg.norm(Hv - ray * v)
     if resid / max(np.linalg.norm(Hv), 1e-12) > 1e-3:
         raise BadDirection("direction is not an eigenvector of the restricted Hessian")
+    return v, ray
 
-    samples, termination, terminal = continue_arc(
-        lambda xi: chart_gradient(chart, xi),
-        lambda xi: chart_point(chart, xi).gradient_hessian(),
-        center_xi,
-        v,
-        ray,
-        cfg,
-    )
-    return ArcRecord(
-        chart=chart,
-        center_xi=center_xi,
-        samples=tuple(samples),
-        termination=termination,
-        terminal_radius=float(terminal),
-    )
+
+def trace_arcs(chart, center, directions, cfg=None):
+    """Trace tangency arcs of the loss from a refined critical point, one
+    along each direction, through one `continue_arcs`.
+
+    Each direction is a unit vector of chart coordinates aligned with an
+    eigenvector of the chart-restricted Hessian at the center (angle
+    tolerance 1e-3): arcs launch only along eigenvector rays, so anything
+    else has no branch to follow. Returns, per direction, its ArcRecord or
+    its error: DimensionMismatch or BadDirection when it fails these
+    checks, else the error its run raised.
+    """
+    cfg = cfg or TraceConfig()
+    center_xi = transfer(center.chart, center.xi, chart)
+    Hc = chart_hessian(chart, center_xi)
+    starts = []
+    for direction in directions:
+        try:
+            starts.append(_launch(chart, Hc, direction))
+        except TangencyLabError as e:
+            starts.append(e)
+    ends = iter(continue_arcs(lambda xi: chart_gradient(chart, xi),
+                              lambda xi: chart_point(chart, xi).gradient_hessian(), center_xi,
+                              [s for s in starts if not isinstance(s, TangencyLabError)], cfg))
+    ends = [s if isinstance(s, TangencyLabError) else next(ends) for s in starts]
+    return [end if isinstance(end, TangencyLabError) else
+            ArcRecord(chart, center_xi, tuple(end[0]), end[1], float(end[2])) for end in ends]
 
 
 def _tangent_basis(u):
@@ -728,9 +786,10 @@ def arc_radius_table(family, k, d, cfg=None):
 
     k names the (d-k, 1^k) ambient chart, i.e. the number of singleton
     blocks. Every canonical direction of the minimal eigenvalue cluster
-    is traced with both signs; the cell reports the smallest finite
-    terminal radius, or 'inf' when every run reaches r_max, and carries
-    the ArcRecord that realized it (for 'inf', the first arc traced). A
+    is traced with both signs, all runs through one `trace_arcs`; the
+    cell reports the smallest finite terminal radius, or 'inf' when
+    every run reaches r_max, and carries the ArcRecord that realized it
+    (for 'inf', the first arc traced). A
     failure to set the cell up, or a cell in which no run traced, is
     reported as 'error:<name>', with the name of the setup's error or of
     the first run's. The center is the memoized `atlas.refined_minimum`.
@@ -745,22 +804,19 @@ def arc_radius_table(family, k, d, cfg=None):
         return {"value": f"error:{type(e).__name__}", "error": str(e)}
     radii, runs, arcs, fallback, error = [], [], [], None, None
     floor = 2.0 * cfg.delta_r
-    for v in dirs:
-        for s in (1.0, -1.0):
-            try:
-                arc = trace_arc(chart, rec, s * v, cfg)
-            except TangencyLabError as e:
-                runs.append((f"error:{type(e).__name__}", None))
-                error = error or e
-                continue
-            runs.append((arc.termination, float(arc.terminal_radius)))
-            if fallback is None:
-                fallback = arc
-            # an arc that dies almost at launch supports no tangency
-            # branch in this direction; skip it
-            if arc.termination != "ReachedRmax" and arc.terminal_radius > floor:
-                radii.append(arc.terminal_radius)
-                arcs.append(arc)
+    for arc in trace_arcs(chart, rec, [s * v for v in dirs for s in (1.0, -1.0)], cfg):
+        if isinstance(arc, TangencyLabError):
+            runs.append((f"error:{type(arc).__name__}", None))
+            error = error or arc
+            continue
+        runs.append((arc.termination, float(arc.terminal_radius)))
+        if fallback is None:
+            fallback = arc
+        # an arc that dies almost at launch supports no tangency
+        # branch in this direction; skip it
+        if arc.termination != "ReachedRmax" and arc.terminal_radius > floor:
+            radii.append(arc.terminal_radius)
+            arcs.append(arc)
     if radii:
         best = int(np.argmin(radii))
         cell = {"radius": radii[best], "value": "%.2f" % radii[best], "arc": arcs[best]}

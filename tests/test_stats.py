@@ -29,8 +29,8 @@ def test_arcs_d7_cell_counts(tmp_path, monkeypatch, capsys):
         "arc.ok": 86, "arc.diverged": 204, "arc.singular": 0}
     assert _read(counts, ["newton.first_calls", "newton.later_calls", "newton.rows",
                           "newton.gradients", "newton.svds"]) == {
-        "newton.first_calls": 118, "newton.later_calls": 1272, "newton.rows": 781,
-        "newton.gradients": 4612, "newton.svds": 1287}
+        "newton.first_calls": 65, "newton.later_calls": 837, "newton.rows": 781,
+        "newton.gradients": 4612, "newton.svds": 851}
     runs = json.loads((tmp_path / "o" / "arcs_runs.json").read_text())
     assert runs["cells"]["C1I_k1_d7"]["value"] == "1.24"
     # the winning arc's samples
@@ -48,3 +48,16 @@ def test_sphere_d20_counts(tmp_path, monkeypatch, capsys):
                           "sphere.rounds"]) == {
         "orbit.stacked_calls": 31, "orbit.single_calls": 7, "orbit.rows": 208,
         "orbit.hessian_rows": 174, "sphere.calls": 1, "sphere.steps": 137, "sphere.rounds": 23}
+
+
+def test_worker_counts_are_summed_under_jobs(tmp_path, monkeypatch, capsys):
+    # the two cells have different centers, so each is refined once with
+    # or without workers; cells sharing a center are refined once per
+    # process that runs one, and their `orbit.*` counts differ
+    readouts = []
+    for jobs in ([], ["--jobs", "2"]):
+        refined_minimum.cache_clear()
+        readouts.append(_readout(["arcs", "--family", "C0I,C1I", "--d", "7", "--k", "1"] + jobs,
+                                 tmp_path / str(len(readouts)), monkeypatch, capsys))
+    assert readouts[0] == readouts[1]
+    assert readouts[0]["newton.rows"] > 0 and readouts[0]["orbit.hessian_rows"] > 0

@@ -37,9 +37,11 @@ from tangency_lab.tracer import (
     arc_to_csv,
     arc_to_json,
     continue_arc,
+    continue_arcs,
     minimal_eig_directions,
     sphere_extremize,
     trace_arc,
+    trace_arcs,
 )
 
 
@@ -934,10 +936,27 @@ def _continue_arc_one_solve_at_a_time(grad_fn, grad_hess_fn, center, direction, 
             return samples, "StepStalled", r
 
 
+def _continue_arcs_one_run_at_a_time(grad_fn, grad_hess_fn, center, starts, cfg):
+    # `tracer.continue_arcs` with each run traced alone by the loop above,
+    # the error of a run that raises in its slot
+    ends = []
+    for direction, rayleigh in starts:
+        try:
+            ends.append(_continue_arc_one_solve_at_a_time(grad_fn, grad_hess_fn, center,
+                                                          direction, rayleigh, cfg))
+        except TangencyLabError as e:
+            ends.append(e)
+    return ends
+
+
 def _assert_same_arcs(arcs, reference):
-    # samples to the bit, tags and terminal radii
+    # samples to the bit, tags and terminal radii; errors by type and message
     assert len(arcs) == len(reference) > 0
-    for (samples, tag, terminal), (samples_ref, tag_ref, terminal_ref) in zip(arcs, reference):
+    for arc, ref in zip(arcs, reference):
+        if isinstance(ref, TangencyLabError):
+            assert (type(arc), str(arc)) == (type(ref), str(ref))
+            continue
+        (samples, tag, terminal), (samples_ref, tag_ref, terminal_ref) = arc, ref
         assert (tag, terminal) == (tag_ref, terminal_ref)
         assert [(r, xi.tobytes(), lam) for r, xi, lam in samples] == [
             (r, xi.tobytes(), lam) for r, xi, lam in samples_ref]
@@ -947,18 +966,20 @@ def _assert_same_arcs(arcs, reference):
     ("C1I", 1, 7, 0.004),  # the arcs-d7 cell
     ("C1II", 1, 7, 1e-3),  # hundreds of failing halvings
     ("C0II", 3, 20, 1e-3),  # branch jumps and bisections
+    ("C0II", 3, 7, 0.004),  # twelve runs in one stack
 ])
 def test_lockstep_halvings_match_the_one_solve_at_a_time_loop(monkeypatch, family, k, d, delta_r):
     cfg = TraceConfig(delta_r=delta_r)
     out = {}
-    for name, cont in (("lockstep", continue_arc), ("reference", _continue_arc_one_solve_at_a_time)):
+    for name, cont in (("lockstep", continue_arcs), ("reference", _continue_arcs_one_run_at_a_time)):
         arcs = []
 
         def recording(*args, cont=cont, arcs=arcs):
-            arcs.append(cont(*args))
-            return arcs[-1]
+            ends = cont(*args)
+            arcs.extend(ends)
+            return ends
 
-        monkeypatch.setattr(tracer, "continue_arc", recording)
+        monkeypatch.setattr(tracer, "continue_arcs", recording)
         out[name] = arc_radius_table(family, k, d, cfg), arcs
     (cell, arcs), (cell_ref, arcs_ref) = out["lockstep"], out["reference"]
     assert cell["value"] == cell_ref["value"] and cell["runs"] == cell_ref["runs"]
@@ -979,3 +1000,42 @@ def test_lockstep_halvings_match_the_one_solve_at_a_time_loop_on_the_toy(monkeyp
                      for c, v, r_max in arcs]
     _assert_same_arcs(out[continue_arc], out[_continue_arc_one_solve_at_a_time])
     assert out[continue_arc][-1][1] == "SingularJacobian"
+
+
+def test_a_run_that_fails_leaves_the_runs_beside_it_as_they_are_alone():
+    # the toy's quartic about the minimum (a, a), with a gradient that is
+    # NaN beyond the center along the diagonal: the start there fails at
+    # r_min, the two starts across the diagonal run to their saddles
+    a = np.sqrt(2.0 / 3.0)
+    center, out = np.array([a, a]), np.array([1.0, 1.0]) / np.sqrt(2.0)
+
+    def grad(x):
+        return np.full(2, np.nan) if (x - center) @ out > 1e-8 else toy.grad_h(x)
+
+    grads, grad_hess = _stacked_model(grad, toy.hess_h)
+    across = np.array([1.0, -1.0]) / np.sqrt(2.0)
+    starts = [(v, float(v @ toy.hess_h(center) @ v)) for v in (across, out, -across)]
+    cfg = TraceConfig(delta_r=1e-3, r_max=3.0)
+    ends = continue_arcs(grads, grad_hess, center, starts, cfg)
+    assert isinstance(ends[1], NoConvergence)
+    alone = [continue_arc(grads, grad_hess, center, v, ray, cfg) for v, ray in starts[::2]]
+    _assert_same_arcs(ends[::2], alone)
+    assert [tag for _, tag, _ in alone] == ["SingularJacobian"] * 2
+    with pytest.raises(NoConvergence):
+        continue_arc(grads, grad_hess, center, *starts[1], cfg)
+
+
+def test_trace_arcs_reports_a_bad_direction_in_its_own_slot(c0i_record):
+    chart = build_chart(7, YoungPartitionGroup((6, 1)))
+    H = chart_hessian(chart, _project_center(chart, c0i_record))
+    dirs, _ = minimal_eig_directions(chart, H)
+    _, vecs = np.linalg.eigh(H)
+    mixed = (vecs[:, 0] + vecs[:, -1]) / np.sqrt(2.0)
+    cfg = TraceConfig(r_max=0.05)
+    arcs = trace_arcs(chart, c0i_record, [dirs[0], mixed, -dirs[0]], cfg)
+    assert isinstance(arcs[1], BadDirection)
+    for arc, v in zip(arcs[::2], (dirs[0], -dirs[0])):
+        alone = trace_arc(chart, c0i_record, v, cfg)
+        assert (arc.termination, arc.terminal_radius) == (alone.termination, alone.terminal_radius)
+        assert [(r, xi.tobytes(), lam) for r, xi, lam in arc.samples] == [
+            (r, xi.tobytes(), lam) for r, xi, lam in alone.samples]
