@@ -59,3 +59,7 @@ class NoConvergence(TangencyLabError):
 
 class CoincidentPoint(TangencyLabError):
     """Tangency residual is undefined at the center itself."""
+
+
+class NonFiniteGrid(TangencyLabError):
+    """The toy's tangency residual, or a point sampled from it, is not finite."""

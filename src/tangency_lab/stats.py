@@ -19,6 +19,9 @@ counts 0. No output file holds it. Keys:
 - `sphere.calls`: `sphere_extremize` calls; `sphere.rounds`: their
   lockstep descent rounds, one stacked `eigh` each; `sphere.steps`:
   the trust-region steps solved.
+- `toy.crossed_edges`: the grid edges `toy.sample_tangency_set` finds
+  crossed, one point each; `toy.points`: the points it returns, those
+  left after the 1e-6 disk about the center is removed.
 
     python -m tangency_lab.stats <subcommand> [flags]
 

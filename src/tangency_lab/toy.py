@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CoincidentPoint
+from .errors import CoincidentPoint, NonFiniteGrid
+from .stats import counts
 from .tracer import TraceConfig, continue_arc
 
 __all__ = [
@@ -116,21 +117,29 @@ def tangency_residual(c, p):
     return float(gx * dy - gy * dx)
 
 
-def _grid_residual(c, xs, ys):
-    cx, cy = _xy(c)
-    # a column against a row, so no full coordinate grid is stored
-    X, Y = xs[:, None], ys[None, :]
-    gx, gy = _grad(X, Y)
-    return gx * (Y - cy) - gy * (X - cx)
+def _grid_residual(cx, cy, xs):
+    # `_grad` at nodes (xs[i], xs[j]) in place, a column against a row
+    X, Y = xs[:, None], xs[None, :]
+    gx = 2.0 * X * Y**2
+    gx += 4.0 * X**3
+    gx -= 4.0 * X
+    gx *= Y - cy
+    gy = 2.0 * X**2 * Y
+    gy += 4.0 * Y**3
+    gy -= 4.0 * Y
+    gy *= X - cx
+    gx -= gy
+    return gx
 
 
 def sample_tangency_set(c, resolution=512, extent=(-2.0, 2.0)):
     """Zero contour of the tangency residual of center c on a square grid.
 
     Marching squares with linear interpolation along cell edges: one
-    point per crossed edge, sorted, with a 1e-6 disk around the center
-    removed. resolution is the number of cells per axis and must be at
-    least 64.
+    point per crossed edge, with a 1e-6 disk around the center removed,
+    as an (N, 2) array of rows in lexicographic order. resolution is the
+    number of cells per axis and must be at least 64. Raises
+    NonFiniteGrid when the residual or a point is not finite.
     """
     if resolution < 64:
         raise ValueError("resolution must be at least 64")
@@ -139,24 +148,32 @@ def sample_tangency_set(c, resolution=512, extent=(-2.0, 2.0)):
         raise ValueError("extent must be an increasing pair")
     cx, cy = _xy(c)
     xs = np.linspace(lo, hi, resolution + 1)
-    ys = np.linspace(lo, hi, resolution + 1)
-    F = _grid_residual(c, xs, ys)
+    with np.errstate(all="ignore"):
+        F = _grid_residual(cx, cy, xs)
 
-    # vertical edges join nodes (i, j) and (i, j+1), horizontal ones
-    # (i, j) and (i+1, j); an edge is crossed unless its end values
-    # share a strict sign or are both zero
-    pts = []
-    for di, dj in ((0, 1), (1, 0)):
-        v0 = F[:resolution + 1 - di, :resolution + 1 - dj]
-        v1 = F[di:, dj:]
-        i, j = np.nonzero(~((v0 == 0.0) & (v1 == 0.0)) & ~(v0 * v1 > 0.0))
-        v0, v1 = v0[i, j], v1[i, j]
-        t = v0 / (v0 - v1)
-        x0, x1, y0, y1 = xs[i], xs[i + di], ys[j], ys[j + dj]
-        pts += zip((x0 + t * (x1 - x0)).tolist(), (y0 + t * (y1 - y0)).tolist())
-
-    out = sorted((x, y) for x, y in pts if not math.hypot(x - cx, y - cy) <= 1e-6)
-    return [PlanePoint(x, y) for x, y in out]
+        # vertical edges join nodes (i, j) and (i, j+1), horizontal ones
+        # (i, j) and (i+1, j); an edge is crossed unless its end values
+        # share a strict sign or are both zero
+        pts = []
+        for di, dj in ((0, 1), (1, 0)):
+            v0 = F[:resolution + 1 - di, :resolution + 1 - dj]
+            v1 = F[di:, dj:]
+            i, j = np.nonzero(~((v0 == 0.0) & (v1 == 0.0)) & ~(v0 * v1 > 0.0))
+            v0, v1 = v0[i, j], v1[i, j]
+            t = v0 / (v0 - v1)
+            x0, x1, y0, y1 = xs[i], xs[i + di], xs[j], xs[j + dj]
+            pts.append(np.column_stack((x0 + t * (x1 - x0), y0 + t * (y1 - y0))))
+    P = np.concatenate(pts)
+    if not (np.isfinite(F).all() and np.isfinite(P).all()):
+        raise NonFiniteGrid("the tangency residual or a point sampled from it is not finite")
+    counts["toy.crossed_edges"] += len(P)
+    # only a point within 2e-6 of the center in both coordinates can lie
+    # in the disk, and math.hypot decides those
+    near = np.flatnonzero((np.abs(P - (cx, cy)) <= 2e-6).all(axis=1)).tolist()
+    P = np.delete(P, [k for k in near if math.hypot(P[k, 0] - cx, P[k, 1] - cy) <= 1e-6], axis=0)
+    P = P[np.lexsort((P[:, 1], P[:, 0]))]
+    counts["toy.points"] += len(P)
+    return P
 
 
 def trace_from(center, direction, cfg=None):
@@ -179,9 +196,9 @@ def trace_from(center, direction, cfg=None):
 
 
 def points_to_csv(clouds):
-    """CSV rows (x, y, center-id) for a dict mapping id -> point list."""
-    lines = ["x,y,center"]
+    """CSV rows (x, y, center-id) for a dict mapping id -> (N, 2) point array."""
+    parts = ["x,y,center\n"]
     for cid in sorted(clouds):
-        for p in clouds[cid]:
-            lines.append("%.17g,%.17g,%s" % (p.x, p.y, cid))
-    return "\n".join(lines) + "\n"
+        row = "%.17g,%.17g," + str(cid).replace("%", "%%") + "\n"
+        parts.append(row * len(clouds[cid]) % tuple(np.ravel(clouds[cid]).tolist()))
+    return "".join(parts)

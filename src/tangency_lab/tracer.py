@@ -431,7 +431,7 @@ def _launch(chart, Hc, direction):
     return v, ray
 
 
-def trace_arcs(chart, center, directions, cfg=None):
+def trace_arcs(chart, center, directions, cfg=None, hessian=None):
     """Trace tangency arcs of the loss from a refined critical point, one
     along each direction, through one `continue_arcs`.
 
@@ -440,11 +440,12 @@ def trace_arcs(chart, center, directions, cfg=None):
     tolerance 1e-3): arcs launch only along eigenvector rays, so anything
     else has no branch to follow. Returns, per direction, its ArcRecord or
     its error: DimensionMismatch or BadDirection when it fails these
-    checks, else the error its run raised.
+    checks, else the error its run raised. hessian is the chart Hessian
+    at the center, when the caller has already taken it.
     """
     cfg = cfg or TraceConfig()
     center_xi = transfer(center.chart, center.xi, chart)
-    Hc = chart_hessian(chart, center_xi)
+    Hc = chart_hessian(chart, center_xi) if hessian is None else hessian
     starts = []
     for direction in directions:
         try:
@@ -799,12 +800,13 @@ def arc_radius_table(family, k, d, cfg=None):
     try:
         rec = refined_minimum(family, d)
         center_xi = transfer(rec.chart, rec.xi, chart)
-        dirs, lam0 = minimal_eig_directions(chart, chart_hessian(chart, center_xi))
+        Hc = chart_hessian(chart, center_xi)
+        dirs, lam0 = minimal_eig_directions(chart, Hc)
     except TangencyLabError as e:
         return {"value": f"error:{type(e).__name__}", "error": str(e)}
     radii, runs, arcs, fallback, error = [], [], [], None, None
     floor = 2.0 * cfg.delta_r
-    for arc in trace_arcs(chart, rec, [s * v for v in dirs for s in (1.0, -1.0)], cfg):
+    for arc in trace_arcs(chart, rec, [s * v for v in dirs for s in (1.0, -1.0)], cfg, Hc):
         if isinstance(arc, TangencyLabError):
             runs.append((f"error:{type(arc).__name__}", None))
             error = error or arc

@@ -1,5 +1,6 @@
 import concurrent.futures
 import dataclasses
+import hashlib
 import importlib.util
 import json
 import os
@@ -159,6 +160,31 @@ def test_toy_rerun_is_byte_identical(tmp_path):
     res = run_cli(args, tmp_path)
     assert res.returncode == 0, res.stderr
     assert (tmp_path / "o" / "toy_points.csv").read_bytes() == first
+
+
+def test_toy_on_a_grid_that_overflows_exits_3_with_its_error(tmp_path):
+    res = run_cli(["toy", "--center", "max", "--resolution", "64", "--extent=-1e200:1e200",
+                   "--out", "o"], tmp_path)
+    assert res.returncode == 3, res.stderr
+    assert "Traceback" not in res.stderr
+    assert "RuntimeWarning" not in res.stderr
+    assert os.listdir(tmp_path / "o") == ["error.json"]
+    assert json.loads((tmp_path / "o" / "error.json").read_text()) == {
+        "error": "NonFiniteGrid",
+        "message": "the tangency residual or a point sampled from it is not finite"}
+
+
+def test_toy_512_matches_the_benchmark_reference(tmp_path, monkeypatch):
+    # the body the benchmark's toy-512 workload checks, hashed as
+    # perfbench/workloads.py does: a byte change fails here first
+    with open(os.path.join(ROOT, "perfbench", "reference", "toy-512.json")) as fh:
+        ref = json.load(fh)["units"]["toy_points.csv"]
+    monkeypatch.delenv("TANGENCY_LAB_OUT", raising=False)
+    assert cli.main(["toy", "--center", "all", "--resolution", "512",
+                     "--out", str(tmp_path / "o")]) == 0
+    body = (tmp_path / "o" / "toy_points.csv").read_bytes().split(b"\n", 1)[1]
+    assert body.count(b"\n") - 1 == ref["points"]
+    assert hashlib.sha256(body).hexdigest() == ref["sha256"]
 
 
 # ---------------------------------------------------------------- minima

@@ -23,6 +23,8 @@ def _read(counts, keys):
 
 
 def test_arcs_d7_cell_counts(tmp_path, monkeypatch, capsys):
+    # the center's refinement is counted too, so it must not come from the cache
+    refined_minimum.cache_clear()
     counts = _readout(["arcs", "--family", "C1I", "--d", "7", "--k", "1", "--delta-r", "0.004"],
                       tmp_path, monkeypatch, capsys)
     assert _read(counts, ["arc.ok", "arc.diverged", "arc.singular"]) == {
@@ -31,6 +33,8 @@ def test_arcs_d7_cell_counts(tmp_path, monkeypatch, capsys):
                           "newton.gradients", "newton.svds"]) == {
         "newton.first_calls": 65, "newton.later_calls": 837, "newton.rows": 781,
         "newton.gradients": 4612, "newton.svds": 851}
+    # the refinement's Hessians and the center's, taken once for the cell
+    assert counts["orbit.hessian_rows"] == 786
     runs = json.loads((tmp_path / "o" / "arcs_runs.json").read_text())
     assert runs["cells"]["C1I_k1_d7"]["value"] == "1.24"
     # the winning arc's samples
@@ -48,6 +52,16 @@ def test_sphere_d20_counts(tmp_path, monkeypatch, capsys):
                           "sphere.rounds"]) == {
         "orbit.stacked_calls": 31, "orbit.single_calls": 7, "orbit.rows": 208,
         "orbit.hessian_rows": 174, "sphere.calls": 1, "sphere.steps": 137, "sphere.rounds": 23}
+
+
+def test_toy_512_counts(tmp_path, monkeypatch, capsys):
+    counts = _readout(["toy", "--center", "all", "--resolution", "512"], tmp_path, monkeypatch,
+                      capsys)
+    assert _read(counts, ["toy.crossed_edges", "toy.points"]) == {
+        "toy.crossed_edges": 11580, "toy.points": 11578}
+    # the points are the file's rows, after its config line and header
+    lines = (tmp_path / "o" / "toy_points.csv").read_text().splitlines()
+    assert len(lines) - 2 == counts["toy.points"]
 
 
 def test_worker_counts_are_summed_under_jobs(tmp_path, monkeypatch, capsys):

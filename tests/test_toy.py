@@ -1,11 +1,13 @@
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tangency_lab.errors import CoincidentPoint
+from tangency_lab import toy
+from tangency_lab.errors import CoincidentPoint, NonFiniteGrid
 from tangency_lab.toy import (
     CRITICAL_POINTS,
     PlanePoint,
@@ -18,7 +20,7 @@ from tangency_lab.toy import (
     tangency_residual,
     trace_from,
 )
-from tangency_lab.toy import _grid_residual
+from tangency_lab.toy import _grad, _grid_residual
 from tangency_lab.tracer import TraceConfig
 
 A = math.sqrt(2.0 / 3.0)
@@ -91,9 +93,9 @@ def test_sampled_set_is_thin_on_grid():
     pts = sample_tangency_set((1.0, 0.0), resolution=128)
     assert len(pts) > 50
     cell = 4.0 / 128
-    for p in pts:
-        assert abs(tangency_residual((1.0, 0.0), p)) <= 25.0 * cell
-        assert math.hypot(p.x - 1.0, p.y) > 1e-6
+    for row in pts:
+        assert abs(tangency_residual((1.0, 0.0), row)) <= 25.0 * cell
+        assert math.hypot(row[0] - 1.0, row[1]) > 1e-6
 
 
 def test_sampled_set_bisection_accuracy():
@@ -101,13 +103,13 @@ def test_sampled_set_bisection_accuracy():
     # sampled point to the linear-interpolation error of the grid
     c = (1.0, 0.0)
     pts = sample_tangency_set(c, resolution=256)
-    p = pts[len(pts) // 3]
-    if abs(tangency_residual(c, (p.x + 1e-4, p.y))) > abs(
-            tangency_residual(c, (p.x - 1e-4, p.y))):
-        lo, hi = p.x - 1e-2, p.x
+    px, py = pts[len(pts) // 3]
+    if abs(tangency_residual(c, (px + 1e-4, py))) > abs(
+            tangency_residual(c, (px - 1e-4, py))):
+        lo, hi = px - 1e-2, px
     else:
-        lo, hi = p.x, p.x + 1e-2
-    f = lambda x: tangency_residual(c, (x, p.y))
+        lo, hi = px, px + 1e-2
+    f = lambda x: tangency_residual(c, (x, py))
     if f(lo) * f(hi) < 0:
         for _ in range(80):
             mid = 0.5 * (lo + hi)
@@ -115,7 +117,7 @@ def test_sampled_set_bisection_accuracy():
                 hi = mid
             else:
                 lo = mid
-        assert abs(0.5 * (lo + hi) - p.x) <= 2e-2
+        assert abs(0.5 * (lo + hi) - px) <= 2e-2
 
 
 def test_sampled_set_is_equivariant():
@@ -123,19 +125,25 @@ def test_sampled_set_is_equivariant():
     S = np.array([[0.0, 1.0], [1.0, 0.0]])  # swap: maps c to (0, 1)
     a = sample_tangency_set(c, resolution=128)
     b = sample_tangency_set((0.0, 1.0), resolution=128)
-    B = np.array([[p.x, p.y] for p in b])
     cell = 4.0 / 128
     worst = 0.0
-    for p in a:
-        q = S @ np.array([p.x, p.y])
-        worst = max(worst, float(np.min(np.hypot(*(B - q).T))))
+    for row in a:
+        q = S @ row
+        worst = max(worst, float(np.min(np.hypot(*(b - q).T))))
     assert worst <= 2.0 * cell
+
+
+def _broadcast_residual(c, xs):
+    """Reference grid: `tangency_residual`'s operations on broadcast arrays."""
+    X, Y = xs[:, None], xs[None, :]
+    gx, gy = _grad(X, Y)
+    return gx * (Y - c[1]) - gy * (X - c[0])
 
 
 def _loop_tangency_set(c, resolution, extent):
     """Reference sampler: one Python call per grid edge, same float operations."""
     xs = np.linspace(extent[0], extent[1], resolution + 1)
-    F = _grid_residual(c, xs, xs)
+    F = _broadcast_residual(c, xs)
     pts = []
     for di, dj in ((0, 1), (1, 0)):
         for i in range(resolution + 1 - di):
@@ -156,7 +164,16 @@ def _loop_tangency_set(c, resolution, extent):
 ])
 def test_sampled_set_matches_edge_loop(c, resolution, extent):
     got = sample_tangency_set(c, resolution=resolution, extent=extent)
-    assert [(p.x, p.y) for p in got] == _loop_tangency_set(c, resolution, extent)
+    assert [tuple(row) for row in got.tolist()] == _loop_tangency_set(c, resolution, extent)
+    xs = np.linspace(extent[0], extent[1], resolution + 1)
+    np.testing.assert_array_equal(_grid_residual(*c, xs), _broadcast_residual(c, xs))
+
+
+def test_sampled_set_is_one_sorted_array():
+    pts = sample_tangency_set((0.3, -0.7), resolution=64)
+    assert pts.dtype == np.float64 and pts.ndim == 2 and pts.shape[1] == 2
+    assert pts.flags.c_contiguous and len(pts) > 50
+    assert pts.tolist() == sorted(pts.tolist())
 
 
 def test_sample_validation():
@@ -164,6 +181,23 @@ def test_sample_validation():
         sample_tangency_set((0.0, 0.0), resolution=32)
     with pytest.raises(ValueError):
         sample_tangency_set((0.0, 0.0), extent=(2.0, -2.0))
+
+
+def test_sampler_rejects_a_grid_on_which_the_quartic_overflows():
+    # the residual overflows to inf and nan well inside this extent; the
+    # sampler raises without a floating-point warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteGrid, match="not finite"):
+            sample_tangency_set((1.0, 0.0), resolution=64, extent=(-1e200, 1e200))
+
+
+def test_sampler_rejects_a_point_that_is_not_finite(monkeypatch):
+    # equal end values whose product underflows to 0 count as a crossing,
+    # and t = v0 / (v0 - v1) is then infinite
+    monkeypatch.setattr(toy, "_grid_residual", lambda cx, cy, xs: np.full((xs.size,) * 2, 1e-170))
+    with pytest.raises(NonFiniteGrid, match="not finite"):
+        sample_tangency_set((0.0, 0.0), resolution=64)
 
 
 def test_arcs_launch_along_hessian_eigenvectors():
@@ -197,12 +231,33 @@ def test_arc_from_minimum_reaches_saddle_orbit():
 
 
 def test_points_to_csv_layout():
-    clouds = {"min": [PlanePoint(0.5, 0.25)], "max": [PlanePoint(0.0, 1.0)]}
+    clouds = {"min": np.array([[0.5, 0.25]]), "max": np.array([[0.0, 1.0]])}
     text = points_to_csv(clouds)
     lines = text.strip().splitlines()
     assert lines[0] == "x,y,center"
     assert lines[1] == "0,1,max"
     assert lines[2] == "0.5,0.25,min"
+
+
+def _points_to_csv_per_point(clouds):
+    """Reference writer: one `%` format per row."""
+    lines = ["x,y,center"]
+    for cid in sorted(clouds):
+        for x, y in clouds[cid].tolist():
+            lines.append("%.17g,%.17g,%s" % (x, y, cid))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("resolution", [64, 65, 128])
+def test_points_to_csv_matches_the_per_point_writer(resolution):
+    centers = {"max": CRITICAL_POINTS[0], "saddle": CRITICAL_POINTS[1],
+               "min": CRITICAL_POINTS[5], "0.3:-0.7": (0.3, -0.7)}
+    clouds = {cid: sample_tangency_set(c, resolution=resolution) for cid, c in centers.items()}
+    clouds["empty"] = np.empty((0, 2))
+    clouds["%s 100%"] = clouds["max"][:3]  # an id is text, not a format
+    text = points_to_csv(clouds)
+    assert text == _points_to_csv_per_point(clouds)
+    assert points_to_csv({"empty": np.empty((0, 2))}) == "x,y,center\n"
 
 
 def test_plane_point_validation():
