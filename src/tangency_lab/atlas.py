@@ -27,6 +27,7 @@ from .errors import (
     UnsupportedFamily,
 )
 from .kernel import OrbitPoint
+from .stats import counts
 from .symmetry import (
     FixedPointChart,
     YoungPartitionGroup,
@@ -165,6 +166,7 @@ def refine_critical(chart, xi0):
         if np.linalg.cond(J) > 1e14:
             raise SingularJacobian("chart Hessian is numerically singular")
         xi = xi + np.linalg.solve(J, -g)
+        counts["refine.iterations"] += 1
         point = chart_point(chart, xi)
         g = point.gradient()
         new_res = np.linalg.norm(g)

@@ -8,17 +8,21 @@ counts 0. No output file holds it. Keys:
   `kernel._orbit_terms` calls on a (B, n) stack and on one point, and
   the points they evaluate; `orbit.hessian_rows`: the points at which
   `OrbitPoint.gradient_hessian` computes (cache hits do not count).
-- `newton.rows`: the rows handed to `tracer._newton_solve`;
-  `newton.first_calls`, `newton.later_calls`: its lockstep rounds, one
-  stacked evaluation each, of gradients and Hessians in the first round
-  and of gradients after; `newton.gradients`: the rows of the rounds;
-  `newton.svds`: the stacked SVDs of its condition tests.
+- `refine.iterations`: the Newton steps of `atlas.refine_critical`.
+- `newton.calls`: `tracer._newton_solve` calls (each makes one first
+  round, so this equals `newton.first_calls`); `newton.rows`: the rows
+  handed to it; `newton.first_calls`, `newton.later_calls`: its
+  lockstep rounds, one stacked evaluation each, of gradients and
+  Hessians in the first round and of gradients after;
+  `newton.gradients`: the rows of the rounds; `newton.svds`: the
+  stacked SVDs of its condition tests.
 - `arc.ok`, `arc.diverged`, `arc.singular`: the outcomes of the solves
   each run of `continue_arcs` uses: at r_min, each step's rungs up to
   the one it takes (a far landing is 'diverged'), and each bisection.
 - `sphere.calls`: `sphere_extremize` calls; `sphere.rounds`: their
   lockstep descent rounds, one stacked `eigh` each; `sphere.steps`:
-  the trust-region steps solved.
+  the trust-region steps solved; `sphere.failed_polishes`: the starts
+  whose Newton polish does not end 'ok'.
 - `toy.crossed_edges`: the grid edges `toy.sample_tangency_set` finds
   crossed, one point each; `toy.points`: the points it returns, those
   left after the 1e-6 disk about the center is removed.

@@ -88,9 +88,9 @@ def _stacked(fn, X, *shapes):
         return out
 
 
-def _dots(A):
-    # the rows' self dot products, each with the bits of `a @ a` alone
-    return (A[:, None, :] @ A[:, :, None])[:, 0, 0]
+def _dots(A, B=None):
+    # the rows' dot products a . b (B = A if None), each with the bits of `a @ b`
+    return (A[:, None, :] @ (A if B is None else B)[:, :, None])[:, 0, 0]
 
 
 class _Residuals:
@@ -147,7 +147,7 @@ def _newton_solve(grad_fn, grad_hess_fn, center, xi, lam, r, cfg):
     one of 'singular', 'diverged'.
     """
     n = center.size
-    counts["newton.rows"] += len(xi)
+    counts.update({"newton.calls": 1, "newton.rows": len(xi)})
     rows = list(range(len(xi)))
     lam, r = np.full(len(rows), lam), np.full(len(rows), r)
     rr = r * r
@@ -460,15 +460,15 @@ def trace_arcs(chart, center, directions, cfg=None, hessian=None):
             ArcRecord(chart, center_xi, tuple(end[0]), end[1], float(end[2])) for end in ends]
 
 
-def _tangent_basis(u):
-    """An orthonormal basis of the plane orthogonal to u, as the columns of
-    an (n, n - 1) matrix: the Householder reflection taking u to the axis
-    of its largest entry, with that axis's column dropped."""
-    j = int(np.argmax(np.abs(u)))
-    v = u / np.linalg.norm(u)
-    v[j] += 1.0 if v[j] >= 0.0 else -1.0
-    Q = np.eye(u.size) - (2.0 / (v @ v)) * np.outer(v, v)
-    return np.delete(Q, j, axis=1)
+def _tangent_bases(U):
+    """(B, n, n - 1): per row u of U, the Householder reflection taking u
+    to the axis of its largest |entry|, that column dropped."""
+    n, j, rows = U.shape[1], np.argmax(np.abs(U), axis=1), np.arange(len(U))
+    V = U / np.sqrt(_dots(U))[:, None]
+    V[rows, j] += np.where(V[rows, j] >= 0.0, 1.0, -1.0)
+    Q = np.eye(n) - (2.0 / _dots(V))[:, None, None] * (V[:, :, None] * V[:, None, :])
+    cols = np.arange(n - 1) + (np.arange(n - 1) >= j[:, None])
+    return np.take_along_axis(Q, cols[:, None, :], axis=2)
 
 
 def _trust_region_step(mu, beta, delta):
@@ -540,7 +540,7 @@ def _evaluate(chart, X, hessian=True):
 def _sphere_descents(chart, center, X, r, sign, floor):
     """Riemannian trust-region Newton for sign * loss on the chart sphere
     |xi - center| = r (Absil, Baker & Gallivan 2007), from each row of X,
-    a point on it.
+    a point on it; r and sign are given per row.
 
     The model at xi is the exact chart gradient and Hessian taken to the
     tangent plane of u = xi - center: P g and P (H - (g . u / u . u) I) P,
@@ -552,56 +552,48 @@ def _sphere_descents(chart, center, X, r, sign, floor):
     decrease there ends the descent, after taking the step if it is an
     interior Newton step. A descent also ends after 1000 iterations.
 
-    The descents run in lockstep: each round evaluates the trial points of
-    the running descents in one stacked call (`_evaluate`) and solves
-    their models with one stacked `eigh`, and a descent leaves the stack
-    when it ends. Each row takes the floating-point operations of a
-    descent run alone. Once all have ended, the error of the first start
-    whose descent raised is raised, as if the starts had descended one
-    after another. Else returns, per start, its last point and that
-    point's (gradient, Hessian), or in place of the pair the error they
-    raise; the descent did not need them if it ended on an unjudged step
-    or after 1000 iterations.
+    The descents run in lockstep, each round on stacked models with one
+    `eigh` and one `_evaluate` of the trial points. Rows that start at one
+    point share its evaluation; each row keeps the bits of its descent run
+    alone. Returns, per start, its descent's error, or its last point and
+    that point's (gradient, Hessian) or the error they raise; the descent
+    did not need them if it ended on an unjudged step or after 1000 steps.
     """
     ends = [None] * len(X)
-    xi, delta = list(X), [r] * len(X)
-    eye = np.eye(len(center) - 1)
-    f, gh = map(list, zip(*_evaluate(chart, X)))
-    running = []
-    for i, fi in enumerate(f):
-        if isinstance(fi, TangencyLabError):
-            ends[i] = fi
-        else:
-            running.append(i)
+    xi, delta = list(X), list(r)
+    unique = {x.tobytes(): x for x in X}
+    values = dict(zip(unique, _evaluate(chart, np.array(list(unique.values())))))
+    # an invalid point's error stands for its derivatives too
+    f, gh = map(list, zip(*(values[x.tobytes()] for x in X)))
+    running = range(len(X))
     for _ in range(1000):
-        models = []
         for i in running:
             if isinstance(gh[i], TangencyLabError):
                 ends[i] = gh[i]
-                continue
-            g, H = gh[i]
-            u = xi[i] - center
-            Q = _tangent_basis(u)
-            HQ = Q.T @ H @ Q
-            HQ -= ((g @ u) / (u @ u)) * eye
-            models.append((i, g, u, Q, sign * HQ))
-        running = []
-        if not models:
+        running = [i for i in running if ends[i] is None]
+        if not running:
             break
-        mus, Vs = np.linalg.eigh(np.array([m[-1] for m in models]))
-        counts.update({"sphere.rounds": 1, "sphere.steps": len(models)})
+        U = np.array([xi[i] for i in running]) - center
+        G, H = (np.array(a) for a in zip(*(gh[i] for i in running)))
+        s = sign[running]
+        Q = _tangent_bases(U)
+        HQ = Q.transpose(0, 2, 1) @ H @ Q
+        HQ -= (_dots(G, U) / _dots(U))[:, None, None] * np.eye(len(center) - 1)
+        mus, Vs = np.linalg.eigh(s[:, None, None] * HQ)
+        QV = Q @ Vs
+        betas = s[:, None] * (G[:, None, :] @ QV)[:, 0]
+        counts.update({"sphere.rounds": 1, "sphere.steps": len(running)})
         trials = []
-        for (i, g, u, Q, _), mu, V in zip(models, mus, Vs):
-            QV = Q @ V
-            beta = sign * (g @ QV)
+        for i, u, qv, mu, beta in zip(running, U, QV, mus, betas):
             p = _trust_region_step(mu, beta, delta[i])
             pred = -(beta @ p + 0.5 * ((mu * p) @ p))
             newton = mu[0] > 0.0 and 0.0 < p @ p < delta[i] * delta[i]
             if pred <= floor and not newton:
                 ends[i] = xi[i], gh[i]
                 continue
-            x = u + QV @ p
-            trials.append((i, center + (r / np.linalg.norm(x)) * x, p, pred))
+            x = u + qv @ p
+            trials.append((i, center + (r[i] / np.linalg.norm(x)) * x, p, pred))
+        running = []
         if not trials:
             break
         for (i, xi_new, p, pred), (f_new, gh_new) in zip(
@@ -613,42 +605,35 @@ def _sphere_descents(chart, center, X, r, sign, floor):
                 # unjudged, it leaves the polish a step of second order
                 ends[i] = xi_new, gh_new
             else:
-                rho = sign * (f[i] - f_new) / pred
+                rho = sign[i] * (f[i] - f_new) / pred
                 if rho < 0.25:
                     delta[i] *= 0.25
                 elif rho > 0.75 and np.linalg.norm(p) >= 0.99 * delta[i]:
-                    delta[i] = min(2.0 * delta[i], r)
+                    delta[i] = min(2.0 * delta[i], r[i])
                 if rho > 0.1:
                     xi[i], f[i], gh[i] = xi_new, f_new, gh_new
                 running.append(i)
     for i in running:
         ends[i] = xi[i], gh[i]
-    for end in ends:
-        if isinstance(end, TangencyLabError):
-            raise end
     return ends
 
 
 def sphere_extremize(chart, center, problems, n_starts=8, seed=0):
     """Extremize the loss over chart spheres |xi - center| = r.
 
-    `problems` is a sequence of (r, mode) pairs, mode 'min' or 'max',
-    solved in order. Each has n_starts starts: the two extremal
-    eigenvectors (with both signs) of the restricted Hessian at the center,
-    then directions drawn from `default_rng(seed)`, the same for every
-    problem. The problems run one after another. A problem's starts run
-    their second-order descents in lockstep, `_sphere_descents`, with one
-    stacked orbit evaluation per round; then the starts take their Newton
-    polishes on the stationarity system in one lockstep `_newton_solve`,
-    each from the gradient and Hessian its descent ended with, and a
-    start, in order, counts if its tangential gradient at the polished
-    point is at most 1e-9; the polished points' gradients and losses come
-    from one stacked orbit evaluation (`_evaluate`), with the bits of each
-    point evaluated alone. The first best value over the starts that count
-    is returned. Returns one (xi, value) per problem. An error raised
-    while a problem descends ends the call, after the problems before it
-    are solved: the error of its first start in start order that raised,
-    as if the starts had descended one after another.
+    `problems` is a sequence of (r, mode) pairs, mode 'min' or 'max'. Each
+    has n_starts starts: the two extremal eigenvectors (with both signs)
+    of the restricted Hessian at the center, then directions drawn from
+    `default_rng(seed)`, the same for every problem. All the starts
+    descend in one `_sphere_descents`, then take their Newton polishes on
+    the stationarity system in one `_newton_solve`, each from the gradient
+    and Hessian its descent ended with. A start counts if its polished
+    point's tangential gradient (one `_evaluate` for all) is at most 1e-9.
+    Each row keeps the bits of its start solved alone. Returns, per
+    problem, the first best (xi, value) of its starts that count. Errors
+    are those of the problems run in turn: when a descent raises, the
+    problems before its own are polished, and their first error raised,
+    else the failing problem's first start's.
     """
     counts["sphere.calls"] += 1
     problems = list(problems)
@@ -665,39 +650,39 @@ def sphere_extremize(chart, center, problems, n_starts=8, seed=0):
     evecs = np.linalg.eigh(chart_hessian(chart, center_xi))[1]
     # the loss sums O(d^2) kernel terms of size O(1) that cancel to it
     floor = np.finfo(float).eps * chart.d ** 2
-    grad_fn = lambda x: chart_gradient(chart, x)
-    polish_cfg = TraceConfig()
     drawn = np.random.default_rng(seed).normal(size=(n_starts - 2, chart.dim))
     randoms = [v / np.linalg.norm(v) for v in drawn]
+    # one row per start, in problem order and then start order
+    R, S = np.repeat([(r, 1.0 if mode == "min" else -1.0) for r, mode in problems], n_starts, 0).T
+    dirs = [evecs[:, 0 if mode == "min" else -1] for _, mode in problems]
+    D = np.array([v for e in dirs for v in [e, -e] + randoms])
+    ends = _sphere_descents(chart, center_xi, center_xi + R[:, None] * D, R, S, floor)
+    failed = next((i for i, e in enumerate(ends) if isinstance(e, TangencyLabError)), len(ends))
+    # per start polished: its error, None if the polish failed, or its point
+    polished = [gh for _, gh in ends[:failed // n_starts * n_starts]]
+    starts = [i for i, gh in enumerate(polished) if not isinstance(gh, TangencyLabError)]
+    if starts:
+        X = np.array([ends[i][0] for i in starts])
+        G, H = (np.array(a) for a in zip(*(polished[i] for i in starts)))
+        lam = _dots(G, X - center_xi) / (2.0 * _dots(X - center_xi))
+        solved = _newton_solve(lambda x: chart_gradient(chart, x), lambda _: (G, H), center_xi,
+                               X, lam, R[starts], TraceConfig())
+        for i, (sol_xi, _, status) in zip(starts, solved):
+            if status != "ok":
+                counts["sphere.failed_polishes"] += 1
+                polished[i] = None
+                continue
+            # the polish meets |u|^2 = r^2 to 1e-10: the point is put on
+            # the sphere, and its stationarity is tested there
+            u = sol_xi - center_xi
+            polished[i] = center_xi + (R[i] / np.linalg.norm(u)) * u
+    # the polished points' losses and gradients, from one stacked call
+    points = [p for p in polished if isinstance(p, np.ndarray)]
+    values = iter(_evaluate(chart, np.array(points), hessian=False) if points else [])
     results = []
-    for r, mode in problems:
-        sign = 1.0 if mode == "min" else -1.0
-        pick = 0 if mode == "min" else -1
-        dirs = [evecs[:, pick], -evecs[:, pick]] + randoms
-        ends = _sphere_descents(chart, center_xi, center_xi + r * np.array(dirs), r, sign, floor)
-        # per start: its error, None if the polish failed, or its point
-        polished = [gh for _, gh in ends]
-        starts = [i for i, gh in enumerate(polished) if not isinstance(gh, TangencyLabError)]
-        if starts:
-            X = np.array([ends[i][0] for i in starts])
-            G = np.array([polished[i][0] for i in starts])
-            H = np.array([polished[i][1] for i in starts])
-            lam = [(g @ u) / (2.0 * (u @ u)) for g, u in zip(G, X - center_xi)]
-            solved = _newton_solve(grad_fn, lambda _: (G, H), center_xi, X, lam, r, polish_cfg)
-            for i, (sol_xi, _, status) in zip(starts, solved):
-                if status != "ok":
-                    polished[i] = None
-                    continue
-                # the polish meets |u|^2 = r^2 to 1e-10: the point is put on
-                # the sphere, and its stationarity is tested there
-                u = sol_xi - center_xi
-                polished[i] = center_xi + (r / np.linalg.norm(u)) * u
-        # the polished points' losses and gradients from one stacked call,
-        # each error raised in start order
-        points = [p for p in polished if isinstance(p, np.ndarray)]
-        values = iter(_evaluate(chart, np.array(points), hessian=False) if points else [])
+    for at in range(0, len(polished), n_starts):
         best_xi, best_val = None, None
-        for sol_xi in polished:
+        for sol_xi in polished[at:at + n_starts]:
             if isinstance(sol_xi, TangencyLabError):
                 raise sol_xi
             if sol_xi is None:
@@ -708,11 +693,13 @@ def sphere_extremize(chart, center, problems, n_starts=8, seed=0):
             u = sol_xi - center_xi
             if np.linalg.norm(g - ((g @ u) / (u @ u)) * u) > 1e-9:
                 continue
-            if best_val is None or sign * (fx - best_val) < 0:
+            if best_val is None or S[at] * (fx - best_val) < 0:
                 best_xi, best_val = sol_xi, fx
         if best_xi is None:
             raise NoConvergence("no start reached stationarity on the sphere")
         results.append((best_xi, float(best_val)))
+    if failed < len(ends):
+        raise ends[failed]
     return results
 
 

@@ -23,6 +23,7 @@ from tangency_lab.errors import (
     TangencyLabError,
 )
 from tangency_lab.kernel import loss
+from tangency_lab.stats import counts
 from tangency_lab.symmetry import (
     YoungPartitionGroup,
     build_chart,
@@ -570,6 +571,36 @@ def test_sphere_extrema_are_second_order_points_on_the_sphere(family, d):
         assert lowest >= -2.0 * np.finfo(float).eps * d ** 2 / r ** 2, (mode, r)
 
 
+def _tangent_basis(u):
+    # an orthonormal basis of the plane orthogonal to u, as the columns of
+    # an (n, n - 1) matrix: the Householder reflection taking u to the axis
+    # of its largest entry, with that axis's column dropped; the reference
+    # of each row of `tracer._tangent_bases`
+    j = int(np.argmax(np.abs(u)))
+    v = u / np.linalg.norm(u)
+    v[j] += 1.0 if v[j] >= 0.0 else -1.0
+    Q = np.eye(u.size) - (2.0 / (v @ v)) * np.outer(v, v)
+    return np.delete(Q, j, axis=1)
+
+
+@pytest.mark.parametrize("B", [1, 33])
+def test_tangent_bases_equal_the_per_row_basis(B):
+    rng = np.random.default_rng(B)
+    U = rng.normal(size=(B, 9))
+    # a row whose largest |entry| is negative
+    U[0, 3] = -4.0
+    if B > 1:
+        # tied |entries|: argmax takes the first, negative in one row and
+        # positive in the other
+        U[1] = [-1.0, 1.0, -1.0, 1.0, 1.0, -1.0, 1.0, -1.0, 1.0]
+        U[2, 2], U[2, 6] = 5.0, -5.0
+    Q = tracer._tangent_bases(U)
+    assert Q.shape == (B, 9, 8)
+    for u, q in zip(U, Q):
+        assert np.array_equal(q, _tangent_basis(u))
+        assert np.allclose(q.T @ q, np.eye(8), atol=1e-14) and np.abs(u @ q).max() <= 1e-14
+
+
 def _sphere_descent(chart, center, xi, r, sign, floor):
     # the trust-region descent of `tracer._sphere_descents` for one start,
     # run alone: the reference the lockstep rows must equal bit for bit
@@ -579,7 +610,7 @@ def _sphere_descent(chart, center, xi, r, sign, floor):
     for _ in range(1000):
         g, H = point.gradient_hessian()
         u = xi - center
-        Q = tracer._tangent_basis(u)
+        Q = _tangent_basis(u)
         HQ = Q.T @ H @ Q
         HQ -= ((g @ u) / (u @ u)) * np.eye(HQ.shape[0])
         mu, V = np.linalg.eigh(sign * HQ)
@@ -661,6 +692,39 @@ def test_lockstep_sphere_descents_match_the_start_by_start_loop(d, k, family, n_
     alone = _sphere_extremize_start_by_start(chart, rec, problems, n_starts=n_starts)
     for (xi, value), (xi_ref, value_ref) in zip(lockstep, alone, strict=True):
         assert np.array_equal(xi, xi_ref) and value == value_ref
+
+
+@pytest.mark.parametrize("family", ["C0I", "C0II", "C1I", "C1II"])
+@pytest.mark.parametrize("d, k", [(7, 3), (20, 2)])
+def test_sphere_problems_in_one_call_equal_each_problem_alone(d, k, family):
+    # the problems of a call share one stack, and the random starts of a
+    # radius's min and max problems one evaluation
+    rec = refined_minimum(family, d)
+    chart = build_chart(d, YoungPartitionGroup((d - k,) + (1,) * k))
+    problems = [(r, mode) for r in (1e-3, 1e-2, 0.1) for mode in ("min", "max")]
+    together = sphere_extremize(chart, rec, problems)
+    alone = [sphere_extremize(chart, rec, [problem])[0] for problem in problems]
+    for (xi, value), (xi_ref, value_ref) in zip(together, alone, strict=True):
+        assert np.array_equal(xi, xi_ref) and value == value_ref
+
+
+def test_sphere_counts_the_polishes_that_fail(monkeypatch):
+    # on the (4, 1, 1, 1) chart at d = 7 four of the C0I minimum search's
+    # polishes at r = 1e-3 fail
+    rec = refined_minimum("C0I", 7)
+    chart = build_chart(7, YoungPartitionGroup((4, 1, 1, 1)))
+    statuses, newton_solve = [], tracer._newton_solve
+
+    def recording_solve(*args):
+        ends = newton_solve(*args)
+        statuses.extend(status for _, _, status in ends)
+        return ends
+
+    monkeypatch.setattr(tracer, "_newton_solve", recording_solve)
+    before = counts["sphere.failed_polishes"]
+    sphere_extremize(chart, rec, [(1e-3, "min"), (1e-3, "max")])
+    failed = counts["sphere.failed_polishes"] - before
+    assert failed == sum(status != "ok" for status in statuses) == 4
 
 
 @pytest.mark.parametrize("kind", ["point", "derivatives"])
