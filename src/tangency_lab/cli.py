@@ -298,28 +298,19 @@ def cmd_arcs(args, outdir):
     else:
         results = dict(zip(keys, map(arc_radius_table, *columns)))
 
-    failed = False
-    rows = []
-    runs_payload = {}
-    for d in sorted(ds):
-        for k in sorted(ks):
-            row = [d, k]
-            for fam in families:
-                cell = results[(fam, k, d)]
-                row.append(cell["value"])
-                if cell["value"].startswith("error:"):
-                    failed = True
-                key = f"{fam}_k{k}_d{d}"
-                runs_payload[key] = {name: cell.get(name) for name in (
-                    "value", "radius", "runs", "n_directions", "min_eigenvalue", "error")}
-                arc = cell.get("arc")
-                if arc is not None:
-                    _write_json(outdir, f"arc_{key}.json", arc_to_json(arc, cfg))
-                    _write(outdir, f"arc_{key}.csv", arc_to_csv(arc))
-            rows.append(row)
-    _write_csv(outdir, "arcs_table.csv", config, ["d", "k"] + families, rows)
+    rows, runs_payload = {}, {}
+    for (fam, k, d), cell in results.items():
+        rows.setdefault((d, k), [d, k]).append(cell["value"])
+        key = f"{fam}_k{k}_d{d}"
+        runs_payload[key] = {name: cell.get(name) for name in (
+            "value", "radius", "runs", "n_directions", "min_eigenvalue", "error")}
+        arc = cell.get("arc")
+        if arc is not None:
+            _write_json(outdir, f"arc_{key}.json", arc_to_json(arc, cfg))
+            _write(outdir, f"arc_{key}.csv", arc_to_csv(arc))
+    _write_csv(outdir, "arcs_table.csv", config, ["d", "k"] + families, rows.values())
     _write_json(outdir, "arcs_runs.json", {"config": config, "cells": runs_payload})
-    return 3 if failed else 0
+    return 3 if any(c["value"].startswith("error:") for c in results.values()) else 0
 
 
 # ------------------------------------------------------------------ sphere

@@ -9,11 +9,10 @@ counts 0. No output file holds it. Keys:
   the points they evaluate; `orbit.hessian_rows`: the points at which
   `OrbitPoint.gradient_hessian` computes (cache hits do not count).
 - `refine.iterations`: the Newton steps of `atlas.refine_critical`.
-- `newton.calls`: `tracer._newton_solve` calls (each makes one first
-  round, so this equals `newton.first_calls`); `newton.rows`: the rows
-  handed to it; `newton.first_calls`, `newton.later_calls`: its
-  lockstep rounds, one stacked evaluation each, of gradients and
-  Hessians in the first round and of gradients after;
+- `newton.calls`: `tracer._newton_solve` calls, each with one first
+  lockstep round, a stacked evaluation of gradients and Hessians;
+  `newton.later_calls`: its later rounds, of gradients only, so its
+  rounds are the sum of the two; `newton.rows`: the rows handed to it;
   `newton.gradients`: the rows of the rounds; `newton.svds`: the
   stacked SVDs of its condition tests.
 - `arc.ok`, `arc.diverged`, `arc.singular`: the outcomes of the solves

@@ -158,7 +158,6 @@ def _newton_solve(grad_fn, grad_hess_fn, center, xi, lam, r, cfg):
     for it in range(cfg.max_newton_iters):
         counts["newton.gradients"] += len(xi)
         if it == 0:
-            counts["newton.first_calls"] += 1
             G, H = _stacked(grad_hess_fn, xi, (n,), (n, n))
         else:
             counts["newton.later_calls"] += 1
@@ -506,16 +505,23 @@ def _trust_region_step(mu, beta, delta):
     return p
 
 
+#: the most rows of one stacked orbit evaluation: bounds a sphere stack's memory
+_EVALUATE_ROWS = 256
+
+
 def _evaluate(chart, X, hessian=True):
     """The loss and gradient at each row of X (B, n), with the Hessian if
-    `hessian`, from one stacked orbit evaluation: a list of (f, g), or of
-    (f, (g, H)), per row.
+    `hessian`, from one stacked orbit evaluation per `_EVALUATE_ROWS` rows:
+    a list of (f, g), or of (f, (g, H)), per row.
 
-    When the stacked call raises, its rows are evaluated alone, and the
+    When a stacked call raises, its rows are evaluated alone, and the
     error a row raises takes the place of what it could not give: of both
     entries if the point itself is invalid, of the derivatives if only
     they raise.
     """
+    if len(X) > _EVALUATE_ROWS:
+        return [v for at in range(0, len(X), _EVALUATE_ROWS)
+                for v in _evaluate(chart, X[at:at + _EVALUATE_ROWS], hessian)]
     derivatives = (lambda p: p.gradient_hessian()) if hessian else (lambda p: p.gradient())
     try:
         point = chart_point(chart, X)
@@ -769,18 +775,34 @@ def minimal_eig_directions(chart, H):
     return cands, lam0
 
 
+def _cell_value(results, floor):
+    """The value, radius and arc (or error) that `arc_radius_table` reads
+    off a cell's results, ArcRecords or errors, with floor 2 * delta_r."""
+    arcs = [a for a in results if not isinstance(a, TangencyLabError)]
+    # an arc that dies almost at launch supports no tangency branch
+    past = [a for a in arcs if a.termination != "ReachedRmax" and a.terminal_radius > floor]
+    if past:
+        best = min(past, key=lambda a: a.terminal_radius)
+        return {"radius": best.terminal_radius, "value": "%.2f" % best.terminal_radius, "arc": best}
+    if not arcs:
+        return {"radius": None, "value": f"error:{type(results[0]).__name__}",
+                "error": str(results[0])}
+    reached = any(a.termination == "ReachedRmax" for a in arcs)
+    return {"radius": None, "value": "inf" if reached else "none", "arc": arcs[0]}
+
+
 def arc_radius_table(family, k, d, cfg=None):
     """Terminal radius of the minimal-eigenvalue arcs of one (family, k, d) cell.
 
     k names the (d-k, 1^k) ambient chart, i.e. the number of singleton
     blocks. Every canonical direction of the minimal eigenvalue cluster
-    is traced with both signs, all runs through one `trace_arcs`; the
-    cell reports the smallest finite terminal radius, or 'inf' when
-    every run reaches r_max, and carries the ArcRecord that realized it
-    (for 'inf', the first arc traced). A
-    failure to set the cell up, or a cell in which no run traced, is
-    reported as 'error:<name>', with the name of the setup's error or of
-    the first run's. The center is the memoized `atlas.refined_minimum`.
+    is traced with both signs, all runs through one `trace_arcs`. The
+    cell is the first smallest terminal radius above 2 * delta_r among
+    the runs that neither failed nor reached r_max, with its ArcRecord;
+    else 'error:<name>', the first run's error, if no run traced; else
+    'inf' if a run reached r_max and 'none' if not, with the first arc
+    traced. A failure to set the cell up is 'error:<name>' too. The
+    center is the memoized `atlas.refined_minimum`.
     """
     cfg = cfg or TraceConfig()
     chart = build_chart(d, YoungPartitionGroup((d - k,) + (1,) * k))
@@ -791,30 +813,11 @@ def arc_radius_table(family, k, d, cfg=None):
         dirs, lam0 = minimal_eig_directions(chart, Hc)
     except TangencyLabError as e:
         return {"value": f"error:{type(e).__name__}", "error": str(e)}
-    radii, runs, arcs, fallback, error = [], [], [], None, None
-    floor = 2.0 * cfg.delta_r
-    for arc in trace_arcs(chart, rec, [s * v for v in dirs for s in (1.0, -1.0)], cfg, Hc):
-        if isinstance(arc, TangencyLabError):
-            runs.append((f"error:{type(arc).__name__}", None))
-            error = error or arc
-            continue
-        runs.append((arc.termination, float(arc.terminal_radius)))
-        if fallback is None:
-            fallback = arc
-        # an arc that dies almost at launch supports no tangency
-        # branch in this direction; skip it
-        if arc.termination != "ReachedRmax" and arc.terminal_radius > floor:
-            radii.append(arc.terminal_radius)
-            arcs.append(arc)
-    if radii:
-        best = int(np.argmin(radii))
-        cell = {"radius": radii[best], "value": "%.2f" % radii[best], "arc": arcs[best]}
-    elif fallback is None:
-        # no run traced: 'inf' would claim that every arc reached r_max
-        cell = {"radius": None, "value": runs[0][0], "error": str(error)}
-    else:
-        cell = {"radius": None, "value": "inf", "arc": fallback}
-    cell.update(runs=tuple(runs), n_directions=len(dirs), min_eigenvalue=lam0)
+    results = trace_arcs(chart, rec, [s * v for v in dirs for s in (1.0, -1.0)], cfg, Hc)
+    runs = tuple((f"error:{type(a).__name__}", None) if isinstance(a, TangencyLabError)
+                 else (a.termination, a.terminal_radius) for a in results)
+    cell = _cell_value(results, 2.0 * cfg.delta_r)
+    cell.update(runs=runs, n_directions=len(dirs), min_eigenvalue=lam0)
     return cell
 
 

@@ -309,6 +309,37 @@ def test_arcs_pool_is_no_larger_than_the_cell_count(tmp_path, monkeypatch):
     assert table[1:] == ["d,k,C0I,C1II", "7,2,0.62,0.31"]
 
 
+def test_arcs_cell_whose_runs_all_end_within_the_floor_reads_none(tmp_path):
+    # both runs end SingularJacobian at r = 0.62, within 2 * delta_r = 1.0,
+    # and neither reaches r_max: the cell is 'none', not 'inf', and exits 0
+    res = run_cli(["arcs", "--family", "C0I", "--d", "7", "--k", "2", "--delta-r", "0.5",
+                   "--out", "o"], tmp_path)
+    assert res.returncode == 0, res.stderr
+    out = tmp_path / "o"
+    assert (out / "arcs_table.csv").read_text().splitlines()[-1] == "7,2,none"
+    cell = json.loads((out / "arcs_runs.json").read_text())["cells"]["C0I_k2_d7"]
+    assert cell["value"] == "none" and cell["radius"] is None and cell["error"] is None
+    assert [tag for tag, _ in cell["runs"]] == ["SingularJacobian"] * 2
+    # the first traced arc's files, as an 'inf' cell writes them
+    arc = json.loads((out / "arc_C0I_k2_d7.json").read_text())
+    assert [arc["termination"], arc["terminal_radius"]] == cell["runs"][0]
+    assert sorted(os.listdir(out)) == ["arc_C0I_k2_d7.csv", "arc_C0I_k2_d7.json",
+                                       "arcs_runs.json", "arcs_table.csv"]
+
+
+def test_arcs_writes_the_same_bytes_through_a_worker_pool(tmp_path):
+    # a real pool of two worker processes, against the cells run in process
+    base = ["arcs", "--family", "C0I,C1I", "--d", "7", "--k", "1"]
+    for out, jobs in (("a", []), ("b", ["--jobs", "2"])):
+        res = run_cli(base + jobs + ["--out", out], tmp_path)
+        assert res.returncode == 0, res.stderr
+    names = sorted(os.listdir(tmp_path / "a"))
+    assert names == sorted(os.listdir(tmp_path / "b"))
+    assert len(names) == 6
+    for name in names:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
+
+
 # ---------------------------------------------------------------- sphere
 
 

@@ -29,9 +29,10 @@ def test_arcs_d7_cell_counts(tmp_path, monkeypatch, capsys):
                       tmp_path, monkeypatch, capsys)
     assert _read(counts, ["arc.ok", "arc.diverged", "arc.singular"]) == {
         "arc.ok": 86, "arc.diverged": 204, "arc.singular": 0}
-    assert _read(counts, ["newton.calls", "newton.first_calls", "newton.later_calls",
-                          "newton.rows", "newton.gradients", "newton.svds"]) == {
-        "newton.calls": 65, "newton.first_calls": 65, "newton.later_calls": 837,
+    # 65 + 837 = 902 lockstep rounds
+    assert _read(counts, ["newton.calls", "newton.later_calls", "newton.rows",
+                          "newton.gradients", "newton.svds"]) == {
+        "newton.calls": 65, "newton.later_calls": 837,
         "newton.rows": 781, "newton.gradients": 4612, "newton.svds": 851}
     # the center's refinement, and no sphere
     assert _read(counts, ["refine.iterations", "sphere.failed_polishes"]) == {
@@ -56,11 +57,11 @@ def test_sphere_d20_counts(tmp_path, monkeypatch, capsys):
     assert _read(counts, ["orbit.stacked_calls", "orbit.single_calls", "orbit.rows",
                           "orbit.hessian_rows", "sphere.calls", "sphere.steps",
                           "sphere.rounds", "sphere.failed_polishes", "newton.calls",
-                          "newton.first_calls", "newton.rows", "refine.iterations"]) == {
+                          "newton.rows", "refine.iterations"]) == {
         "orbit.stacked_calls": 8, "orbit.single_calls": 7, "orbit.rows": 196,
         "orbit.hessian_rows": 162, "sphere.calls": 1, "sphere.steps": 137, "sphere.rounds": 6,
-        "sphere.failed_polishes": 0, "newton.calls": 1, "newton.first_calls": 1,
-        "newton.rows": 32, "refine.iterations": 4}
+        "sphere.failed_polishes": 0, "newton.calls": 1, "newton.rows": 32,
+        "refine.iterations": 4}
 
 
 def test_toy_512_counts(tmp_path, monkeypatch, capsys):

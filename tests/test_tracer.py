@@ -32,7 +32,9 @@ from tangency_lab.symmetry import (
     transfer,
 )
 from tangency_lab.tracer import (
+    ArcRecord,
     TraceConfig,
+    _cell_value,
     _newton_solve,
     arc_radius_table,
     arc_to_csv,
@@ -499,6 +501,32 @@ def test_sphere_extremize_pins_the_descent(c0i_record, r, mode):
     assert repr(value) == repr(SPHERE_PINS[r, mode])
 
 
+def test_evaluate_bounds_the_rows_of_each_stacked_call(monkeypatch):
+    # seven rows in stacks of at most three: the rows of the stack holding
+    # the invalid point (all zero, so every student row is zero) are
+    # evaluated alone, and every row gives what one stack of seven gives
+    chart = build_chart(7, YoungPartitionGroup((6, 1)))
+    X = np.random.default_rng(0).normal(size=(7, chart.dim))
+    X[4] = 0.0
+
+    def entries(values):
+        # per row: the bytes of f, g and H, or the error in their place
+        out = []
+        for f, gh in values:
+            for v in (f, *(gh if isinstance(gh, tuple) else [gh])):
+                out.append(repr(v) if isinstance(v, TangencyLabError) else np.asarray(v).tobytes())
+        return out
+
+    whole = tracer._evaluate(chart, X)
+    monkeypatch.setattr(tracer, "_EVALUATE_ROWS", 3)
+    counts.clear()
+    bounded = tracer._evaluate(chart, X)
+    assert entries(bounded) == entries(whole)
+    invalid = repr(DegenerateVector("a student row has norm <= 1e-12"))
+    assert entries(bounded)[12:14] == [invalid, invalid]
+    assert (counts["orbit.stacked_calls"], counts["orbit.single_calls"]) == (3, 3)
+
+
 def test_sphere_descent_evaluates_each_point_once(c0i_record, monkeypatch):
     # in the descents of a problem's starts before its first Newton polish
     # and between two polishes the orbit terms are computed at most once
@@ -922,6 +950,48 @@ def test_arc_radius_table_pins_the_newton_path():
     radii = [radius for _, radius in cell["runs"]]
     assert tags == ["StepStalled", "StepStalled"]
     assert radii == pytest.approx([1.3699260033203136, 1.2432956627441412], abs=1e-9)
+
+
+def test_arc_radius_table_reads_none_when_every_traced_run_ends_within_the_floor():
+    # both runs end SingularJacobian at r = 0.62, within 2 * delta_r = 1.0,
+    # and neither reaches r_max: no radius, and no claim of 'inf'
+    cell = arc_radius_table("C0I", 2, 7, TraceConfig(delta_r=0.5))
+    assert cell["value"] == "none" and cell["radius"] is None and "error" not in cell
+    assert [tag for tag, _ in cell["runs"]] == ["SingularJacobian"] * 2
+    assert all(radius < 1.0 for _, radius in cell["runs"])
+    assert (cell["arc"].termination, cell["arc"].terminal_radius) == cell["runs"][0]
+
+
+def _record(tag, radius):
+    return ArcRecord(None, np.zeros(2), (), tag, radius)
+
+
+@pytest.mark.parametrize("runs, value, arc", [
+    # tied radii: the first wins
+    ([_record("StepStalled", 0.7), _record("SingularJacobian", 0.5),
+      _record("StepStalled", 0.5)], "0.50", 1),
+    # the winner next to failed runs and a run that reached r_max
+    ([NoConvergence("at r_min"), _record("ReachedRmax", 0.3), BadDirection("off the ray"),
+      _record("StepStalled", 1.2345)], "1.23", 3),
+    # a radius equal to the floor is not past it
+    ([_record("StepStalled", 0.1), _record("SingularJacobian", 0.3)], "0.30", 1),
+    # a run that reached r_max next to short runs: the first traced arc
+    ([NoConvergence("at r_min"), _record("SingularJacobian", 0.05),
+      _record("ReachedRmax", 10.0)], "inf", 1),
+    # only short runs: the first traced arc, and no claim of 'inf'
+    ([BadDirection("off the ray"), _record("StepStalled", 0.1),
+      _record("SingularJacobian", 0.05)], "none", 1),
+])
+def test_cell_value_rule(runs, value, arc):
+    # a floor of 2 * delta_r = 0.1
+    radius = None if value in ("inf", "none") else runs[arc].terminal_radius
+    assert _cell_value(runs, 0.1) == {"radius": radius, "value": value, "arc": runs[arc]}
+
+
+def test_cell_value_is_the_first_error_when_no_run_traced():
+    runs = [BadDirection("off the ray"), NoConvergence("at r_min")]
+    assert _cell_value(runs, 0.1) == {"radius": None, "value": "error:BadDirection",
+                                      "error": "off the ray"}
 
 
 # ------------------------------------------------------ lockstep halvings
